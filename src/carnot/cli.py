@@ -88,7 +88,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _require_nonnegative(option: str, value: int) -> None:
+    if value < 0:
+        raise CliError(f"{option} must be nonnegative, got {value}", 2)
+
+
 def _cmd_check(args) -> int:
+    _require_nonnegative("--limit", args.limit)
     label, algebra, _ = _resolve(args.source)
     defects = algebra.jacobi_defect()
     print(f"source: {label}")
@@ -128,6 +134,7 @@ def _cmd_g0(args) -> int:
 
 
 def _cmd_prolong(args) -> int:
+    _require_nonnegative("--max", args.max)
     label, algebra, ranges = _resolve(args.source)
     strat = _require_stratification(algebra, ranges)
     result = tanaka.prolong(algebra, strat, args.max)
@@ -212,6 +219,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _require_nonnegative("--max", args.max)
     label, algebra, ranges = _resolve(args.source)
     text, jacobi_ok = report.build_report(label, algebra, ranges, args.max)
     sys.stdout.write(text)

@@ -2,8 +2,11 @@
 
 A ``LieAlgebra`` stores a sparse antisymmetric bracket table: only pairs
 ``(i, j)`` with ``i < j`` are kept, so antisymmetry holds by construction
-and the Jacobi identity is the only thing left to check.  Basis indices
-are 0-based internally; the default labels are ``e1..en``.
+and the Jacobi identity is the only thing left to check.  Every reader of
+the table (brackets, Jacobi, Leibniz rows, series, center) goes through
+one sparse index with both orientations, built once per object, so work
+scales with the nonzero brackets rather than with ``dim**3``.  Basis
+indices are 0-based internally; the default labels are ``e1..en``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_scale,
-    zero_vec,
 )
+
+_ZERO = Fraction(0)
 
 
 class NotLieAlgebraError(ValueError):
@@ -95,57 +99,80 @@ class LieAlgebra:
         return self
 
     @cached_property
-    def _map(self) -> dict[tuple[int, int], Vec]:
-        return dict(self.table)
+    def _ad(self) -> tuple[dict[int, dict[int, Fraction]], ...]:
+        """Sparse index of the table in both orientations:
+        ``_ad[i][j] = {k: c}`` with [e_i, e_j] = sum c e_k, nonzero
+        brackets only."""
+        ad: tuple[dict[int, dict[int, Fraction]], ...] = tuple({} for _ in range(self.dim))
+        for (i, j), vec in self.table:
+            coords = {k: c for k, c in enumerate(vec) if c}
+            if coords:
+                ad[i][j] = coords
+                ad[j][i] = {k: -c for k, c in coords.items()}
+        return ad
+
+    def _dense(self, coords: Mapping[int, Fraction]) -> Vec:
+        out = [_ZERO] * self.dim
+        for k, c in coords.items():
+            out[k] = c
+        return tuple(out)
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[e_i, e_j] for basis indices, any order."""
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            return self._map.get((i, j), zero_vec(self.dim))
-        v = self._map.get((j, i))
-        return vec_scale(-1, v) if v is not None else zero_vec(self.dim)
+        return self._dense(self._ad[i].get(j, {}))
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
         """Bilinear antisymmetric extension of the table."""
         xx, yy = as_vec(x), as_vec(y)
         if len(xx) != self.dim or len(yy) != self.dim:
             raise ValueError(f"vectors must have length {self.dim}")
-        acc = [Fraction(0)] * self.dim
-        for (i, j), vec in self.table:
-            c = xx[i] * yy[j] - xx[j] * yy[i]
-            if c:
-                for k, v in enumerate(vec):
-                    if v:
-                        acc[k] += c * v
-        return tuple(acc)
+        acc: dict[int, Fraction] = {}
+        for i, a in enumerate(xx):
+            if a:
+                for j, coords in self._ad[i].items():
+                    b = yy[j]
+                    if b:
+                        c = a * b
+                        for k, v in coords.items():
+                            acc[k] = acc.get(k, _ZERO) + c * v
+        return self._dense(acc)
+
+    def _triple_term(self, x: int, y: int, z: int, acc: dict[int, Fraction]) -> None:
+        """acc += [[e_x, e_y], e_z]."""
+        ad = self._ad
+        for l, c in ad[x].get(y, {}).items():
+            for k, v in ad[l].get(z, {}).items():
+                acc[k] = acc.get(k, _ZERO) + c * v
+
+    @cached_property
+    def _jacobi_defects(self) -> tuple[JacobiDefect, ...]:
+        # [[e_a, e_b], e_c] is nonzero only if (a, b) is a stored pair and
+        # c is a neighbour of an index in the support of [e_a, e_b]; every
+        # other triple has three zero terms.
+        ad = self._ad
+        candidates = set()
+        for a, row in enumerate(ad):
+            for b, coords in row.items():
+                if a < b:
+                    for l in coords:
+                        for c in ad[l]:
+                            if c != a and c != b:
+                                candidates.add(tuple(sorted((a, b, c))))
+        out = []
+        for i, j, k in sorted(candidates):
+            acc: dict[int, Fraction] = {}
+            self._triple_term(i, j, k, acc)
+            self._triple_term(j, k, i, acc)
+            self._triple_term(k, i, j, acc)
+            if any(acc.values()):
+                out.append((i, j, k, self._dense(acc)))
+        return tuple(out)
 
     def jacobi_defect(self) -> list[JacobiDefect]:
         """All basis triples i < j < k where the Jacobi identity fails,
-        with their exact residual vectors.  Empty iff this is a Lie
-        algebra."""
-        out = []
-        n = self.dim
-        basis = [unit_vec(n, i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                vij = self.bracket_basis(i, j)
-                if is_zero_vec(vij):
-                    vij = None
-                for k in range(j + 1, n):
-                    res = zero_vec(n)
-                    if vij is not None:
-                        res = vec_add(res, self.bracket(vij, basis[k]))
-                    vjk = self.bracket_basis(j, k)
-                    if not is_zero_vec(vjk):
-                        res = vec_add(res, self.bracket(vjk, basis[i]))
-                    vki = self.bracket_basis(k, i)
-                    if not is_zero_vec(vki):
-                        res = vec_add(res, self.bracket(vki, basis[j]))
-                    if not is_zero_vec(res):
-                        out.append((i, j, k, res))
-        return out
+        with their exact residual vectors, in sorted order.  Empty iff
+        this is a Lie algebra.  Computed once per object."""
+        return list(self._jacobi_defects)
 
     def ad(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of y -> [x, y] (columns are images of basis vectors)."""
@@ -164,6 +191,8 @@ class LieAlgebra:
             prev = terms[-1]
             rows = []
             for i in range(n):
+                if not self._ad[i]:
+                    continue
                 for v in prev.basis_rows():
                     w = self.bracket(unit_vec(n, i), v)
                     if not is_zero_vec(w):
@@ -181,16 +210,14 @@ class LieAlgebra:
         ad-action in the first argument."""
         n = self.dim
         red = RowReducer(n)
-        # row for (j, k): sum_i x_i * c_{i j}^k = 0
-        for j in range(n):
-            for k in range(n):
-                row = {}
-                for i in range(n):
-                    c = self.bracket_basis(i, j)[k]
-                    if c:
-                        row[i] = c
-                if row:
-                    red.add(row)
+        # row for (j, k): sum_i x_i * c_{i j}^k = 0, with c_{i j}^k = -c_{j i}^k
+        for ad_j in self._ad:
+            eqs: dict[int, dict[int, Fraction]] = {}
+            for i in sorted(ad_j):
+                for k, c in ad_j[i].items():
+                    eqs.setdefault(k, {})[i] = -c
+            for k in sorted(eqs):
+                red.add(eqs[k])
         return Subspace.from_rows(red.nullspace_rows(), n)
 
     def is_derivation(self, u: Matrix) -> bool:
@@ -216,24 +243,25 @@ class LieAlgebra:
         sum_l c_{ij}^l u[k][l] - sum_l u[l][i] c_{lj}^k - sum_l u[l][j] c_{il}^k = 0.
         """
         n = self.dim
+        ad = self._ad
         for i in range(n):
             for j in range(i + 1, n):
-                cij = self.bracket_basis(i, j)
-                for k in range(n):
-                    row: dict[int, Fraction] = {}
-                    for l in range(n):
-                        if cij[l]:
-                            row[k * n + l] = row.get(k * n + l, Fraction(0)) + cij[l]
-                    for l in range(n):
-                        clj = self.bracket_basis(l, j)[k]
-                        if clj:
-                            col = l * n + i
-                            row[col] = row.get(col, Fraction(0)) - clj
-                        cil = self.bracket_basis(i, l)[k]
-                        if cil:
-                            col = l * n + j
-                            row[col] = row.get(col, Fraction(0)) - cil
-                    row = {c: v for c, v in row.items() if v}
+                cij = sorted(ad[i].get(j, {}).items())
+                # per coordinate k, the entries of the two sums over l; the
+                # columns l*n + i < l*n + j are distinct, and ascending
+                # column order is ascending l, the c_{lj}^k entry first
+                terms: dict[int, list[tuple[int, Fraction]]] = {}
+                for l, coords in ad[j].items():  # -c_{lj}^k = c_{jl}^k
+                    for k, c in coords.items():
+                        terms.setdefault(k, []).append((l * n + i, c))
+                for l, coords in ad[i].items():  # -c_{il}^k
+                    for k, c in coords.items():
+                        terms.setdefault(k, []).append((l * n + j, -c))
+                for k in (range(n) if cij else sorted(terms)):
+                    row: dict[int, Fraction] = {k * n + l: c for l, c in cij}
+                    for col, c in sorted(terms.get(k, ())):
+                        row[col] = row.get(col, _ZERO) + c
+                    row = {col: v for col, v in row.items() if v}
                     if row:
                         yield row
 

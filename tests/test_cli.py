@@ -26,6 +26,33 @@ def test_check_reports_violations_with_exit_1(capsys, tmp_path):
     assert "violation (1,2,3)" in out
 
 
+def test_check_rejects_negative_limit(capsys, tmp_path):
+    # two violations: a negative limit used to print one and then claim
+    # three more were truncated
+    bad = tmp_path / "bad4.alg"
+    bad.write_text("dim 4\nbracket 1 2 = 3\nbracket 1 3 = 1\nbracket 2 4 = 1\n",
+                   encoding="utf-8")
+    code, out, _ = run_cli(capsys, "check", str(bad))
+    assert code == 1
+    assert "jacobi: 2 violations" in out
+    code, out, err = run_cli(capsys, "check", str(bad), "--limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("carnot: --limit must be nonnegative")
+
+
+def test_check_bracket_free_dim_2000_subprocess(tmp_path):
+    # Jacobi is checked over nonzero brackets only, so an empty table of
+    # any dimension is instant
+    f = tmp_path / "abelian2000.alg"
+    f.write_text("dim 2000\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "carnot.cli", "check", str(f)],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    assert "jacobi: ok" in proc.stdout
+
+
 def test_series_command(capsys):
     code, out, _ = run_cli(capsys, "series", "example2_17")
     assert code == 0
@@ -45,6 +72,20 @@ def test_prolong_command(capsys):
     assert code == 0
     assert "prolongation_dims: 4 6 9 12" in out
     assert "prolongation_finite: unknown" in out
+
+
+def test_prolong_rejects_negative_max(capsys):
+    code, out, err = run_cli(capsys, "prolong", "heisenberg_3", "--max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("carnot: --max must be nonnegative")
+
+
+def test_report_rejects_negative_max(capsys):
+    code, out, err = run_cli(capsys, "report", "heisenberg_3", "--max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("carnot: --max must be nonnegative")
 
 
 def test_rigid_verdicts_and_exit_codes(capsys):

@@ -10,9 +10,159 @@ from carnot.liealg import (
     NotLieAlgebraError,
     SingularMatrixError,
 )
-from carnot.linalg import Matrix, Subspace, unit_vec, zero_vec
+from carnot.linalg import Matrix, Subspace, is_zero_vec, unit_vec, vec_add, zero_vec
 
 F = Fraction
+
+
+# Reference implementations: the dense loops LieAlgebra used before it
+# indexed its structure constants sparsely.  They read only the raw
+# ``table``, so they are independent of the library's index.
+
+def _ref_bracket_basis(table, n, i, j):
+    if i == j:
+        return zero_vec(n)
+    if i < j:
+        return table.get((i, j), zero_vec(n))
+    v = table.get((j, i))
+    return tuple(-c for c in v) if v is not None else zero_vec(n)
+
+
+def _ref_bracket(L, x, y):
+    acc = [F(0)] * L.dim
+    for (i, j), vec in L.table:
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, v in enumerate(vec):
+                if v:
+                    acc[k] += c * v
+    return tuple(acc)
+
+
+def ref_jacobi_defect(L):
+    """O(n^3) over all triples i < j < k."""
+    table = dict(L.table)
+    out = []
+    n = L.dim
+    basis = [unit_vec(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            vij = _ref_bracket_basis(table, n, i, j)
+            if is_zero_vec(vij):
+                vij = None
+            for k in range(j + 1, n):
+                res = zero_vec(n)
+                if vij is not None:
+                    res = vec_add(res, _ref_bracket(L, vij, basis[k]))
+                vjk = _ref_bracket_basis(table, n, j, k)
+                if not is_zero_vec(vjk):
+                    res = vec_add(res, _ref_bracket(L, vjk, basis[i]))
+                vki = _ref_bracket_basis(table, n, k, i)
+                if not is_zero_vec(vki):
+                    res = vec_add(res, _ref_bracket(L, vki, basis[j]))
+                if not is_zero_vec(res):
+                    out.append((i, j, k, res))
+    return out
+
+
+def ref_leibniz_rows(L):
+    """One row per (pair, coordinate), every coefficient looked up densely."""
+    table = dict(L.table)
+    n = L.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = _ref_bracket_basis(table, n, i, j)
+            for k in range(n):
+                row = {}
+                for l in range(n):
+                    if cij[l]:
+                        row[k * n + l] = row.get(k * n + l, F(0)) + cij[l]
+                for l in range(n):
+                    clj = _ref_bracket_basis(table, n, l, j)[k]
+                    if clj:
+                        col = l * n + i
+                        row[col] = row.get(col, F(0)) - clj
+                    cil = _ref_bracket_basis(table, n, i, l)[k]
+                    if cil:
+                        col = l * n + j
+                        row[col] = row.get(col, F(0)) - cil
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    yield row
+
+
+def _ordered_rows(rows):
+    """Rows with their insertion order, so order differences show."""
+    return [list(r.items()) for r in rows]
+
+
+def _random_coeff(rng):
+    return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_table(rng):
+    """A random structure table of dim 1..9.  Kinds: sparse random
+    coefficients (mostly not Lie), two-step with a central top block
+    (always Lie), a two-step table in a random rational basis (Lie, dense
+    fractions), and that last one with one coefficient shifted."""
+    n = rng.randint(1, 9)
+    kind = rng.randrange(4) if n >= 3 else 0
+    if kind == 0:
+        brackets = {(i, j): [_random_coeff(rng) if rng.random() < 0.3 else 0 for _ in range(n)]
+                    for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+        return LieAlgebra.from_brackets(n, brackets)
+    m = rng.randint(2, n - 1)
+    brackets = {(i, j): [0] * m + [_random_coeff(rng) for _ in range(n - m)]
+                for i in range(m) for j in range(i + 1, m) if rng.random() < 0.6}
+    L = LieAlgebra.from_brackets(n, brackets)
+    if kind == 1:
+        return L
+    p = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = _random_coeff(rng) or F(1)
+        for k in range(n):
+            p[i][k] += c * p[j][k]
+    L = L.change_of_basis(Matrix.from_rows(p, n))
+    if kind == 2 or not L.table:
+        return L
+    shifted = dict(L.table)
+    pair = rng.choice(sorted(shifted))
+    k = rng.randrange(n)
+    shifted[pair] = tuple(v + (1 if c == k else 0) for c, v in enumerate(shifted[pair]))
+    return LieAlgebra.from_brackets(n, shifted)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sparse_jacobi_and_leibniz_match_dense_reference(seed):
+    rng = random.Random(1000 + seed)
+    lie = broken = 0
+    for _ in range(30):
+        L = _random_table(rng)
+        defects = L.jacobi_defect()
+        assert defects == ref_jacobi_defect(L), L.table
+        assert _ordered_rows(L.leibniz_rows()) == _ordered_rows(ref_leibniz_rows(L)), L.table
+        if defects:
+            broken += 1
+        else:
+            lie += 1
+    assert lie >= 5 and broken >= 5
+
+
+@pytest.mark.parametrize("name", ["example1_16", "example2_17", "deformed_h_16",
+                                  "free_step2_rank3"])
+def test_catalog_jacobi_and_leibniz_match_dense_reference(name):
+    L = catalog.get(name).algebra
+    assert L.jacobi_defect() == ref_jacobi_defect(L) == []
+    assert _ordered_rows(L.leibniz_rows()) == _ordered_rows(ref_leibniz_rows(L))
+
+
+def test_sparse_bracket_matches_dense_reference(example1):
+    rng = random.Random(17)
+    for _ in range(10):
+        x = [_random_coeff(rng) for _ in range(16)]
+        y = [_random_coeff(rng) if rng.random() < 0.5 else F(0) for _ in range(16)]
+        assert example1.bracket(x, y) == _ref_bracket(example1, x, y)
 
 
 def heisenberg3() -> LieAlgebra:
@@ -79,6 +229,23 @@ def test_jacobi_defect_detects_violation():
     assert residual == (F(0), F(0), F(-1))
     with pytest.raises(NotLieAlgebraError):
         bad.validated()
+
+
+def test_validated_raises_on_every_call():
+    bad = LieAlgebra.from_brackets(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+    for _ in range(3):
+        with pytest.raises(NotLieAlgebraError):
+            bad.validated()
+
+
+def test_jacobi_defect_returns_a_fresh_list():
+    bad = LieAlgebra.from_brackets(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+    first = bad.jacobi_defect()
+    expected = [(0, 1, 2, (F(0), F(0), F(-1)))]
+    assert first == expected
+    first.clear()
+    first.append((0, 0, 0, zero_vec(3)))
+    assert bad.jacobi_defect() == expected
 
 
 def test_two_step_tables_satisfy_jacobi_for_any_signs(example1):
