@@ -58,7 +58,6 @@ from .tanaka import (
     RigidityVerdict,
     degree_zero_derivations,
     prolong,
-    prolongation_bracket,
     ultrarigidity_check,
 )
 

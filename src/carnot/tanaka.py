@@ -14,6 +14,13 @@ nonnegative element w against a negative Y means applying w's stored
 maps: [w, Y] = w(Y), recursively through the representation.  Degree 0
 recovers exactly the layer-preserving (strata-preserving) derivations.
 
+The bracket of the computed tower is a table of structure constants:
+the coordinates of [b^k_i, b^m_j] in the stored basis of g_{k+m}, for
+the stored basis vectors b^k_i of g_k.  Entries are filled on first use
+from [u, v](X) = [u, [v, X]] - [v, [u, X]], reading every inner bracket
+of nonnegative degree from entries of lower total degree, and each entry
+is checked to lie in the computed component.
+
 Everything is computed in an adapted basis in which each layer is a
 coordinate block; results living in the original endomorphism space are
 conjugated back at the boundary.
@@ -22,6 +29,7 @@ conjugated back at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,7 +43,6 @@ from .linalg import (
     invert,
     is_zero_vec,
     solve_affine,
-    zero_vec,
 )
 
 
@@ -140,10 +147,6 @@ def _block_shapes(frame: AdaptedFrame, k: int, dims: Sequence[int]) -> list[tupl
         td = frame.layer_dim(-t) if t < 0 else dims[t]
         shapes.append((td, frame.layer_dim(l)))
     return shapes
-
-
-def _zero_element(frame: AdaptedFrame, k: int, dims: Sequence[int]) -> HomElement:
-    return HomElement(k, tuple(Matrix.zeros(r, c) for r, c in _block_shapes(frame, k, dims)))
 
 
 def _element_from_flat(frame: AdaptedFrame, k: int, dims: Sequence[int], flat: Vec) -> HomElement:
@@ -284,6 +287,10 @@ class ProlongationResult:
     ``finite`` is True when some component vanished (every later one
     vanishes too, so computation stops there) and None when the cap was
     reached with the last component still nonzero.
+
+    ``bracket`` reads a table of basis structure constants that is filled
+    lazily and kept in the instance ``__dict__``, outside the dataclass
+    fields, so equality and hashing see only the tower itself.
     """
 
     dims: tuple[int, ...]
@@ -322,49 +329,75 @@ class ProlongationResult:
             raise MembershipError(f"element does not lie in the computed g_{el.degree}")
         return sol.particular
 
-    def _dims_view(self, upto: int) -> list[int]:
-        return [self.component_dim(t) for t in range(upto + 1)]
+    @cached_property
+    def _table(self) -> dict[tuple[int, int, int, int], Vec]:
+        """Structure constants filled on demand: (k, i, m, j) maps to the
+        coordinates of [b^k_i, b^m_j] in the stored basis of g_{k+m}."""
+        return {}
 
-    def _apply_value(self, w: HomElement, deg: int, coords: Vec) -> tuple[int, Vec]:
-        """[w, xi] for xi of degree ``deg`` given by coordinates (layer
-        coordinates when deg < 0, basis coordinates when deg >= 0)."""
-        out_deg = w.degree + deg
-        if deg < 0:
-            return out_deg, w.blocks[-deg - 1].apply(coords)
-        acc = _zero_element(self.frame, out_deg, self._dims_view(max(out_deg, 0)))
-        for r, cr in enumerate(coords):
-            if cr:
-                acc = acc + self.bracket(w, self.basis(deg)[r]).scaled(cr)
-        return out_deg, self.coordinates_of(acc)
-
-    def bracket(self, u: HomElement, v: HomElement) -> HomElement:
-        """The prolongation bracket [u, v](X) = [u, [v, X]] - [v, [u, X]]
-        for nonnegative u, v; the result is checked to lie in the
-        computed component of degree deg(u) + deg(v)."""
-        if u.degree < 0 or v.degree < 0:
-            raise ValueError("both elements must have nonnegative degree")
-        K = u.degree + v.degree
-        dims_view = self._dims_view(max(K, 0))
+    def _entry(self, k: int, i: int, m: int, j: int) -> Vec:
+        """Table entry (k, i, m, j), computing it on first use from
+        [u, v](X) = [u, [v, X]] - [v, [u, X]] over the basis vectors X of
+        each layer.  An inner bracket of nonnegative degree has total
+        degree below k + m and is read from the table; the result is
+        checked to lie in the computed g_{k+m}."""
+        key = (k, i, m, j)
+        if key in self._table:
+            return self._table[key]
+        u, v = self.basis(k)[i], self.basis(m)[j]
         frame = self.frame
         blocks = []
         for l in range(1, frame.step + 1):
-            td = frame.layer_dim(-(K - l)) if K - l < 0 else dims_view[K - l]
-            cols = []
-            for c in range(frame.layer_dim(l)):
-                x = tuple(Fraction(1) if q == c else Fraction(0)
-                          for q in range(frame.layer_dim(l)))
-                d1, c1 = self._apply_value(v, -l, x)
-                _, val1 = self._apply_value(u, d1, c1)
-                d2, c2 = self._apply_value(u, -l, x)
-                _, val2 = self._apply_value(v, d2, c2)
-                col = tuple(a - b for a, b in zip(val1, val2))
-                cols.append(col if col else zero_vec(td))
-            if td == 0:
-                blocks.append(Matrix.zeros(0, frame.layer_dim(l)))
-            else:
-                blocks.append(Matrix.from_rows(cols, td).transpose())
-        result = HomElement(K, tuple(blocks))
-        self.coordinates_of(result)  # membership check
+            td = self.component_dim(k + m - l)
+            cols = [tuple(a - b for a, b in zip(self._outer(k, i, v, l, c),
+                                                self._outer(m, j, u, l, c)))
+                    for c in range(frame.layer_dim(l))]
+            blocks.append(Matrix.from_rows(cols, td).transpose() if td
+                          else Matrix.zeros(0, frame.layer_dim(l)))
+        coords = self.coordinates_of(HomElement(k + m, tuple(blocks)))
+        self._table[key] = coords
+        return coords
+
+    def _outer(self, k: int, i: int, w: HomElement, l: int, c: int) -> Vec:
+        """[b^k_i, [w, X]] for X the c-th basis vector of layer l, in the
+        coordinates of degree k + deg(w) - l (layer coordinates when
+        negative)."""
+        t = w.degree - l
+        inner = w.blocks[l - 1].col(c)
+        if t < 0:
+            return self.basis(k)[i].blocks[-t - 1].apply(inner)
+        return self._bracket_coords(k, i, t, inner)
+
+    def _bracket_coords(self, k: int, i: int, t: int, coords: Vec) -> Vec:
+        """Coordinates of [b^k_i, w] for w in g_t given by ``coords``."""
+        acc = [Fraction(0)] * self.component_dim(k + t)
+        for r, x in enumerate(coords):
+            if x:
+                for q, y in enumerate(self._entry(k, i, t, r)):
+                    if y:
+                        acc[q] += x * y
+        return tuple(acc)
+
+    def bracket(self, u: HomElement, v: HomElement) -> HomElement:
+        """The prolongation bracket of nonnegative u, v: the bilinear
+        combination of table entries given by their coordinates.  Raises
+        MembershipError when u or v lies outside its computed component
+        and ComponentNotComputedError past the cap."""
+        if u.degree < 0 or v.degree < 0:
+            raise ValueError("both elements must have nonnegative degree")
+        a, b = self.coordinates_of(u), self.coordinates_of(v)
+        K = u.degree + v.degree
+        frame = self.frame
+        result = HomElement(K, tuple(Matrix.zeros(self.component_dim(K - l), frame.layer_dim(l))
+                                     for l in range(1, frame.step + 1)))
+        acc = [Fraction(0)] * self.component_dim(K)
+        for i, x in enumerate(a):
+            if x:
+                for q, y in enumerate(self._bracket_coords(u.degree, i, v.degree, b)):
+                    acc[q] += x * y
+        for c, w in zip(acc, self.basis(K)):
+            if c:
+                result = result + w.scaled(c)
         return result
 
 
@@ -383,10 +416,6 @@ def prolong(L: LieAlgebra, s: Stratification, k_max: int = 6) -> ProlongationRes
         if not comps:
             return ProlongationResult(tuple(dims), True, tuple(bases), frame)
     return ProlongationResult(tuple(dims), None, tuple(bases), frame)
-
-
-def prolongation_bracket(result: ProlongationResult, u: HomElement, v: HomElement) -> HomElement:
-    return result.bracket(u, v)
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,17 @@ import pytest
 from carnot import catalog
 from carnot.grading import coordinate_layers, grading_derivation, verify_stratification
 from carnot.liealg import LieAlgebra
-from carnot.linalg import Matrix, Subspace, rref, unit_vec
+from carnot.linalg import Matrix, Subspace, is_zero_vec, rref, solve_affine, unit_vec, zero_vec
 from carnot.tanaka import (
     AdaptedFrame,
     ComponentNotComputedError,
+    HomElement,
+    MembershipError,
     _solve_component,
     degree_zero_derivations,
     grading_element,
     hom0_to_endo,
     prolong,
-    prolongation_bracket,
     ultrarigidity_check,
 )
 
@@ -60,12 +61,12 @@ def h3_prolonged(h3):
     return prolong(L, s, 4)
 
 
-def contact_monomial_count(degree: int) -> int:
-    """Monomials in (x, y, z) with weights (1, 1, 2) and total weight
-    ``degree``; the contact vector fields of weighted degree k are
-    parametrized by Hamiltonians of weight k + 2, so this counts the
-    degree-k prolongation component of the 3-dim Heisenberg symbol."""
-    return sum(degree - 2 * j + 1 for j in range(degree // 2 + 1))
+def contact_monomial_count(degree: int, n: int = 1) -> int:
+    """Monomials in 2n variables of weight 1 and one of weight 2 with
+    total weight ``degree``; the contact vector fields of weighted degree
+    k are parametrized by Hamiltonians of weight k + 2, so this counts the
+    degree-k prolongation component of the (2n+1)-dim Heisenberg symbol."""
+    return sum(comb(degree - 2 * j + 2 * n - 1, 2 * n - 1) for j in range(degree // 2 + 1))
 
 
 def block_diagonal_span(layer_dims):
@@ -202,6 +203,14 @@ def test_prolong_heisenberg_matches_contact_hamiltonian_count(h3_prolonged):
     assert result.finite is None
     for k, d in enumerate(result.dims):
         assert d == contact_monomial_count(k + 2)
+
+
+def test_prolong_heisenberg5_matches_contact_hamiltonian_count():
+    entry = catalog.get("heisenberg_2n1(2)")
+    result = prolong(entry.algebra, strat_of(entry), 4)
+    assert result.dims == (11, 24, 46, 80, 130)
+    assert result.finite is None
+    assert result.dims == tuple(contact_monomial_count(k + 2, 2) for k in range(5))
 
 
 def test_prolong_heisenberg_g1_dim_against_hand_system(h3_prolonged):
@@ -412,14 +421,173 @@ def test_bracket_beyond_cap_raises(h3_prolonged):
     result = h3_prolonged
     u4 = result.bases[4][0]
     u1 = result.bases[1][0]
+    # fill part of the table first, up to degree 4 itself
+    for u in result.bases[2]:
+        assert result.bracket(u, result.bases[2][-1]).degree == 4
+    assert result.bracket(result.bases[3][0], u1).degree == 4
     with pytest.raises(ComponentNotComputedError):
         result.bracket(u4, u1)
+    with pytest.raises(ComponentNotComputedError):
+        result.bracket(u1, u4)
 
 
-def test_bracket_module_level_wrapper(h3_prolonged):
-    u = h3_prolonged.bases[1][0]
-    D = grading_element(h3_prolonged.frame)
-    assert prolongation_bracket(h3_prolonged, u, D).flatten() == u.flatten()
+def test_bracket_rejects_non_member_in_either_slot(h3_prolonged):
+    result = h3_prolonged
+    u, v = result.bases[1][0], result.bases[1][1]
+    # g_1 elements are determined by their V1 block, so changing only the
+    # V2 block leaves g_1
+    v2 = u.blocks[1]
+    bumped = [list(row) for row in v2.entries]
+    bumped[0][0] += 1
+    bad = HomElement(1, (u.blocks[0], Matrix.from_rows(bumped, v2.cols)))
+    D = grading_element(result.frame)
+    for other in (v, D):
+        with pytest.raises(MembershipError):
+            result.bracket(bad, other)
+        with pytest.raises(MembershipError):
+            result.bracket(other, bad)
+
+
+def test_results_equal_and_hash_alike_after_brackets(h3):
+    L, s = h3
+    a, b = prolong(L, s, 3), prolong(L, s, 3)
+    a.bracket(a.bases[1][0], a.bases[2][1])
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# the recursive bracket the structure-constant table replaced, kept as the
+# reference; it reads only ``bases`` and ``frame`` of a ProlongationResult
+# ---------------------------------------------------------------------------
+
+def _ref_dims_view(result, upto):
+    return [len(result.bases[t]) for t in range(upto + 1)]
+
+
+def _ref_zero_element(frame, k, dims):
+    blocks = []
+    for l in range(1, frame.step + 1):
+        t = k - l
+        td = frame.layer_dim(-t) if t < 0 else dims[t]
+        blocks.append(Matrix.zeros(td, frame.layer_dim(l)))
+    return HomElement(k, tuple(blocks))
+
+
+def _ref_coordinates(result, el):
+    basis = result.bases[el.degree]
+    flat = el.flatten()
+    if not basis:
+        if not is_zero_vec(flat):
+            raise MembershipError(f"nonzero element of vanishing component g_{el.degree}")
+        return ()
+    cols = Matrix.from_rows([b.flatten() for b in basis], len(flat)).transpose()
+    sol = solve_affine(cols, flat)
+    if sol is None:
+        raise MembershipError(f"element does not lie in the computed g_{el.degree}")
+    return sol.particular
+
+
+def _ref_apply_value(result, w, deg, coords):
+    """[w, xi] for xi of degree ``deg`` given by coordinates (layer
+    coordinates when deg < 0, basis coordinates when deg >= 0)."""
+    out_deg = w.degree + deg
+    if deg < 0:
+        return out_deg, w.blocks[-deg - 1].apply(coords)
+    acc = _ref_zero_element(result.frame, out_deg, _ref_dims_view(result, max(out_deg, 0)))
+    for r, cr in enumerate(coords):
+        if cr:
+            acc = acc + ref_bracket(result, w, result.bases[deg][r]).scaled(cr)
+    return out_deg, _ref_coordinates(result, acc)
+
+
+def ref_bracket(result, u, v):
+    """[u, v](X) = [u, [v, X]] - [v, [u, X]], recursing through
+    ``_ref_apply_value`` and checking membership of the result."""
+    K = u.degree + v.degree
+    dims_view = _ref_dims_view(result, max(K, 0))
+    frame = result.frame
+    blocks = []
+    for l in range(1, frame.step + 1):
+        td = frame.layer_dim(-(K - l)) if K - l < 0 else dims_view[K - l]
+        cols = []
+        for c in range(frame.layer_dim(l)):
+            x = unit_vec(frame.layer_dim(l), c)
+            d1, c1 = _ref_apply_value(result, v, -l, x)
+            _, val1 = _ref_apply_value(result, u, d1, c1)
+            d2, c2 = _ref_apply_value(result, u, -l, x)
+            _, val2 = _ref_apply_value(result, v, d2, c2)
+            col = tuple(a - b for a, b in zip(val1, val2))
+            cols.append(col if col else zero_vec(td))
+        if td == 0:
+            blocks.append(Matrix.zeros(0, frame.layer_dim(l)))
+        else:
+            blocks.append(Matrix.from_rows(cols, td).transpose())
+    out = HomElement(K, tuple(blocks))
+    _ref_coordinates(result, out)
+    return out
+
+
+def random_element(result, k, rng):
+    """A basis vector of g_k or a rational combination of up to three."""
+    basis = result.bases[k]
+    el = rng.choice(basis)
+    for b in rng.sample(basis, min(len(basis), rng.randint(0, 2))):
+        el = el + b.scaled(F(rng.randint(-3, 3), rng.randint(1, 3)))
+    return el
+
+
+@pytest.fixture(scope="module")
+def towers_to_degree_2():
+    out = {}
+    for name in ("heisenberg_3", "free_step2_rank3"):
+        entry = catalog.get(name)
+        out[name] = prolong(entry.algebra, strat_of(entry), 2)
+    return out
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "free_step2_rank3"])
+def test_bracket_matches_reference_on_basis_pairs(towers_to_degree_2, name):
+    result = towers_to_degree_2[name]
+    for k in range(3):
+        for m in range(3 - k):
+            for u in result.bases[k]:
+                for v in result.bases[m]:
+                    assert result.bracket(u, v).flatten() == ref_bracket(result, u, v).flatten()
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "free_step2_rank3"])
+def test_bracket_matches_reference_on_combinations(towers_to_degree_2, name):
+    result = towers_to_degree_2[name]
+    rng = random.Random(7)
+    D = grading_element(result.frame)
+    for k in range(3):
+        for m in range(3 - k):
+            for _ in range(3):
+                u, v = random_element(result, k, rng), random_element(result, m, rng)
+                assert result.bracket(u, v).flatten() == ref_bracket(result, u, v).flatten()
+        for u in result.bases[k]:
+            assert result.bracket(u, D).flatten() == ref_bracket(result, u, D).flatten()
+            assert result.bracket(D, u).flatten() == ref_bracket(result, D, u).flatten()
+
+
+@pytest.mark.parametrize("name,cap,seed", [
+    ("heisenberg_3", 3, 11),
+    ("free_step2_rank3", 2, 12),
+    ("heisenberg_2n1(2)", 2, 13),
+])
+def test_tower_bracket_satisfies_jacobi(name, cap, seed):
+    entry = catalog.get(name)
+    result = prolong(entry.algebra, strat_of(entry), cap)
+    degrees = [(k, m, n) for k in range(cap + 1) for m in range(cap + 1 - k)
+               for n in range(cap + 1 - k - m)]
+    rng = random.Random(seed)
+    for _ in range(50):
+        u, v, w = (random_element(result, d, rng) for d in rng.choice(degrees))
+        total = (result.bracket(u, result.bracket(v, w))
+                 + result.bracket(v, result.bracket(w, u))
+                 + result.bracket(w, result.bracket(u, v)))
+        assert total.is_zero()
 
 
 # ---------------------------------------------------------------------------
