@@ -18,13 +18,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Matrix,
-    RowReducer,
     Scalar,
     Subspace,
     Vec,
     as_vec,
     invert,
     is_zero_vec,
+    solution_space,
     unit_vec,
     vec_add,
     vec_scale,
@@ -208,17 +208,15 @@ class LieAlgebra:
     def center(self) -> Subspace:
         """{x : [x, e_i] = 0 for all i}; the nullspace of the stacked
         ad-action in the first argument."""
-        n = self.dim
-        red = RowReducer(n)
+        rows = []
         # row for (j, k): sum_i x_i * c_{i j}^k = 0, with c_{i j}^k = -c_{j i}^k
         for ad_j in self._ad:
             eqs: dict[int, dict[int, Fraction]] = {}
             for i in sorted(ad_j):
                 for k, c in ad_j[i].items():
                     eqs.setdefault(k, {})[i] = -c
-            for k in sorted(eqs):
-                red.add(eqs[k])
-        return Subspace.from_rows(red.nullspace_rows(), n)
+            rows.extend(eqs[k] for k in sorted(eqs))
+        return solution_space(rows, self.dim)
 
     def is_derivation(self, u: Matrix) -> bool:
         """Leibniz identity u[x,y] = [u x, y] + [x, u y] on all basis pairs."""
@@ -269,11 +267,7 @@ class LieAlgebra:
         """Solution space of the Leibniz system, as a subspace of the
         n^2-dimensional endomorphism space (row-major flattening)."""
         self.validated()
-        n = self.dim
-        red = RowReducer(n * n)
-        for row in self.leibniz_rows():
-            red.add(row)
-        return Subspace.from_rows(red.nullspace_rows(), n * n)
+        return solution_space(self.leibniz_rows(), self.dim ** 2)
 
     def semidirect_with_derivation(self, d: Matrix) -> "LieAlgebra":
         """Extend by a new generator acting as the derivation ``d``:

@@ -5,6 +5,11 @@ Dense matrices and row-reduced subspaces with arbitrary-precision
 construction time and no tolerance appears anywhere.  Subspaces are kept
 in canonical reduced row echelon form, so equality of subspaces is plain
 entry-wise equality of their basis matrices.
+
+One kernel does the elimination: ``RowReducer`` keeps sparse integer
+pivot rows.  Every solution space (``solution_space``, ``nullspace``)
+is read off its back-substituted rows already in canonical form, with
+no dense pass and no second reduction.
 """
 
 from __future__ import annotations
@@ -50,10 +55,6 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c: Scalar, v: Vec) -> Vec:
@@ -176,10 +177,6 @@ class RowReducer:
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def pivot_cols(self) -> list[int]:
-        return sorted(self._pivots)
-
     def _to_sparse_int(self, row) -> dict[int, int]:
         if isinstance(row, Mapping):
             items = [(c, rat(v)) for c, v in row.items() if v]
@@ -211,41 +208,59 @@ class RowReducer:
             cur = _eliminate(cur, piv, lead)
         return False
 
+    def _reduced_rows(self) -> dict[int, dict[int, int]]:
+        """The pivot rows back-substituted: row ``p`` keeps its positive
+        lead at ``p`` and is zero in every other pivot column, so it is the
+        canonical RREF row up to the integer factor ``row[p]``.
+
+        Rows are reduced from the highest pivot down; each then meets only
+        already reduced rows, so one elimination per pivot column in its
+        support suffices (no new pivot columns are introduced)."""
+        out: dict[int, dict[int, int]] = {}
+        for p in sorted(self._pivots, reverse=True):
+            row = self._pivots[p]
+            for c in [c for c in row if c != p and c in out]:
+                row = _eliminate(row, out[c], c, keep_lead=p)
+            out[p] = row
+        return out
+
     def canonical_rows(self) -> list[Vec]:
         """The canonical RREF rows (pivot 1, zeros above and below pivots),
         sorted by pivot column."""
-        rows = {c: dict(r) for c, r in self._pivots.items()}
-        for c in sorted(rows, reverse=True):
-            piv = rows[c]
-            for c2, other in rows.items():
-                if c2 != c and c in other:
-                    rows[c2] = _eliminate(other, piv, c, keep_lead=c2)
+        rows = self._reduced_rows()
         out: list[Vec] = []
         for c in sorted(rows):
             r = rows[c]
-            lead = Fraction(r[c])
+            lead = r[c]
             dense = [_ZERO] * self.width
             for col, v in r.items():
-                dense[col] = Fraction(v) / lead
+                dense[col] = Fraction(v, lead)
             out.append(tuple(dense))
         return out
 
     def nullspace_rows(self) -> list[Vec]:
-        """A spanning set for the solution space of (rows)·x = 0.
+        """A basis of the solution space of (rows)·x = 0, one vector per
+        free column ``f`` in ascending order: 1 at ``f``, ``-r_p[f] / r_p[p]``
+        at each pivot ``p`` and zero at every other free column.
 
-        One vector per free column; not in canonical form (callers
-        re-reduce when canonicality matters).
+        The vectors are read off the sparse reduced rows.  They are in
+        canonical RREF order only when the free columns come last, which
+        :func:`solution_space` arranges by relabelling columns.
         """
-        canon = self.canonical_rows()
-        pivot_cols = self.pivot_cols
-        pivot_row = {c: canon[i] for i, c in enumerate(pivot_cols)}
-        free_cols = [c for c in range(self.width) if c not in self._pivots]
+        width = self.width
+        solutions: dict[int, list[tuple[int, Fraction]]] = {
+            f: [] for f in range(width) if f not in self._pivots}
+        for p, r in self._reduced_rows().items():
+            lead = r[p]
+            for c, v in r.items():
+                if c != p:
+                    solutions[c].append((p, Fraction(-v, lead)))
         out = []
-        for f in free_cols:
-            dense = [_ZERO] * self.width
+        for f, entries in solutions.items():
+            dense = [_ZERO] * width
             dense[f] = _ONE
-            for p in pivot_cols:
-                dense[p] = -pivot_row[p][f]
+            for p, x in entries:
+                dense[p] = x
             out.append(tuple(dense))
         return out
 
@@ -425,12 +440,34 @@ def membership(v: Sequence[Scalar], s: Subspace) -> bool:
     return s.contains(v)
 
 
+def solution_space(rows: Iterable, width: int) -> Subspace:
+    """The exact solution space {x : row·x = 0 for every row}, in canonical
+    form, for dense rows of length ``width`` or sparse column mappings.
+
+    The rows are eliminated with columns relabelled ``c -> width-1-c``.
+    In that order every free column lies after the pivots its solution
+    touches, so once reversed back the free-column solutions of
+    :meth:`RowReducer.nullspace_rows` have a leading 1 in their own free
+    column and zeros in every other one: they already are the canonical
+    RREF basis (which is unique), and no second reduction is needed.
+    """
+    red = RowReducer(width)
+    last = width - 1
+    for row in rows:
+        flipped = {}
+        for c, v in (row.items() if isinstance(row, Mapping) else enumerate(row)):
+            if v:
+                if not 0 <= c < width:
+                    raise ValueError(f"column {c} out of range 0..{last}")
+                flipped[last - c] = v
+        red.add(flipped)
+    basis = tuple(v[::-1] for v in reversed(red.nullspace_rows()))
+    return Subspace(width, Matrix(len(basis), width, basis))
+
+
 def nullspace(m: Matrix) -> Subspace:
     """The exact solution space {x : m·x = 0}."""
-    red = RowReducer(m.cols)
-    for row in m.entries:
-        red.add(row)
-    return Subspace.from_rows(red.nullspace_rows(), m.cols)
+    return solution_space(m.entries, m.cols)
 
 
 class AffineSolution(NamedTuple):
@@ -459,12 +496,12 @@ def solve_affine_rows(rows: Iterable, width: int) -> Optional[AffineSolution]:
         red.add(row)
     if width in red._pivots:
         return None  # a pivot in the RHS column: inconsistent
+    reduced = red._reduced_rows()
     particular = [_ZERO] * width
-    for row in red.canonical_rows():
-        particular[_leading_col(row)] = row[width]
     homo = RowReducer(width)
-    for c, r in red._pivots.items():
-        homo._pivots[c] = {col: v for col, v in r.items() if col < width}
+    for p, r in reduced.items():
+        particular[p] = Fraction(r.get(width, 0), r[p])
+        homo._pivots[p] = {col: v for col, v in r.items() if col < width}
     homogeneous = Subspace.from_rows(homo.nullspace_rows(), width)
     return AffineSolution(tuple(particular), homogeneous)
 
@@ -501,18 +538,3 @@ def invert(m: Matrix) -> Optional[Matrix]:
         return None
     return Matrix.from_rows([r[n:] for r in canon], n)
 
-
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    """Nonnegative integer matrix power by repeated squaring."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices have powers")
-    if k < 0:
-        raise ValueError("negative powers not supported")
-    result = Matrix.identity(m.rows)
-    base = m
-    while k:
-        if k & 1:
-            result = result @ base
-        base = base @ base if k > 1 else base
-        k >>= 1
-    return result

@@ -37,11 +37,11 @@ from .grading import Stratification
 from .liealg import LieAlgebra
 from .linalg import (
     Matrix,
-    RowReducer,
     Subspace,
     Vec,
     invert,
     is_zero_vec,
+    solution_space,
     solve_affine,
 )
 
@@ -150,10 +150,13 @@ def _block_shapes(frame: AdaptedFrame, k: int, dims: Sequence[int]) -> list[tupl
 
 
 def _element_from_flat(frame: AdaptedFrame, k: int, dims: Sequence[int], flat: Vec) -> HomElement:
+    """Cut a flat solution vector into its row-major blocks (every layer
+    of a stratification is nonzero, so each block has c >= 1 columns)."""
     blocks = []
     pos = 0
     for r, c in _block_shapes(frame, k, dims):
-        blocks.append(Matrix.from_flat(flat[pos:pos + r * c], r, c))
+        it = iter(flat[pos:pos + r * c])
+        blocks.append(Matrix(r, c, tuple(zip(*[it] * c))))
         pos += r * c
     return HomElement(k, tuple(blocks))
 
@@ -182,23 +185,31 @@ def _solve_component(frame: AdaptedFrame, k: int,
     def target_dim(t: int) -> int:
         return frame.layer_dim(-t) if t < 0 else dims[t]
 
-    def action(t: int, r: int, b: int) -> Vec:
-        """Home-coordinates of [w, e_b] for w the r-th generator of the
-        degree-t space; the result has degree t - weight(b)."""
+    actions: dict[tuple[int, int, int], list[tuple[int, Fraction]]] = {}
+
+    def action(t: int, r: int, b: int) -> list[tuple[int, Fraction]]:
+        """Nonzero home-coordinates (q, value) of [w, e_b] for w the r-th
+        generator of the degree-t space; the result has degree
+        t - weight(b)."""
+        key = (t, r, b)
+        if key in actions:
+            return actions[key]
         j = frame.weights[b]
         if t < 0:
-            g = frame.offsets[-t - 1] + r
-            full = frame.graded.bracket_basis(g, b)
             home_layer = -t + j
             if home_layer > s:
-                return ()
-            return full[frame.layer_slice(home_layer)]
-        w = bases[t][r]
-        block = w.blocks[j - 1]
-        pos = b - frame.offsets[j - 1]
-        return tuple(block.entries[q][pos] for q in range(block.rows))
+                col = ()
+            else:
+                g = frame.offsets[-t - 1] + r
+                col = frame.graded.bracket_basis(g, b)[frame.layer_slice(home_layer)]
+        else:
+            block = bases[t][r].blocks[j - 1]
+            pos = b - frame.offsets[j - 1]
+            col = [row[pos] for row in block.entries]
+        actions[key] = out = [(q, x) for q, x in enumerate(col) if x]
+        return out
 
-    red = RowReducer(total)
+    eqs: list[dict[int, Fraction]] = []
     weights = frame.weights
     for a in range(n):
         i = weights[a]
@@ -224,23 +235,19 @@ def _solve_component(frame: AdaptedFrame, k: int,
                             rows[q][col] = rows[q].get(col, Fraction(0)) + zc
             # -[u(e_a), e_b]
             for r in range(target_dim(k - i)):
-                val = action(k - i, r, b)
                 col = unk(i, r, pos_a)
-                for q in range(hd):
-                    if val[q]:
-                        rows[q][col] = rows[q].get(col, Fraction(0)) - val[q]
+                for q, x in action(k - i, r, b):
+                    rows[q][col] = rows[q].get(col, Fraction(0)) - x
             # +[u(e_b), e_a]  (= -[e_a, u(e_b)])
             for r in range(target_dim(k - j)):
-                val = action(k - j, r, a)
                 col = unk(j, r, pos_b)
-                for q in range(hd):
-                    if val[q]:
-                        rows[q][col] = rows[q].get(col, Fraction(0)) + val[q]
+                for q, x in action(k - j, r, a):
+                    rows[q][col] = rows[q].get(col, Fraction(0)) + x
             for row in rows:
                 row = {c: v for c, v in row.items() if v}
                 if row:
-                    red.add(row)
-    sol = Subspace.from_rows(red.nullspace_rows(), total)
+                    eqs.append(row)
+    sol = solution_space(eqs, total)
     return [_element_from_flat(frame, k, dims, flat) for flat in sol.basis_rows()]
 
 

@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from carnot import catalog
 from carnot.linalg import (
     Matrix,
     RowReducer,
     Subspace,
     invert,
-    mat_pow,
     membership,
     nullspace,
     quotient_basis,
     rat,
     rref,
+    solution_space,
     solve_affine,
     subspace_intersect,
     subspace_sum,
@@ -263,11 +264,122 @@ def test_row_reducer_rank_matches_rref():
         assert red.rank == rank
 
 
-def test_invert_and_mat_pow():
+def test_invert():
     m = M([[2, 1], [1, 1]])
     mi = invert(m)
     assert mi is not None
     assert m @ mi == Matrix.identity(2)
     assert invert(M([[1, 2], [2, 4]])) is None
-    assert mat_pow(m, 0) == Matrix.identity(2)
-    assert mat_pow(m, 3) == m @ m @ m
+
+
+# Reference route: the dense nullspace extraction the reducer used before
+# it read solutions off its sparse reduced rows, followed by a second
+# reduction.  It reads only the reducer's ``_pivots`` and ``width`` and
+# back-substitutes in Fractions, independently of the integer kernel.
+
+def _ref_canonical_rows(red):
+    rows = {c: [F(r.get(j, 0), r[c]) for j in range(red.width)]
+            for c, r in red._pivots.items()}
+    for c in sorted(rows, reverse=True):
+        for c2, other in rows.items():
+            if c2 != c and other[c]:
+                f = other[c]
+                rows[c2] = [a - f * b for a, b in zip(other, rows[c])]
+    return [tuple(rows[c]) for c in sorted(rows)]
+
+
+def ref_nullspace_rows(red):
+    canon = _ref_canonical_rows(red)
+    pivot_cols = sorted(red._pivots)
+    pivot_row = {c: canon[i] for i, c in enumerate(pivot_cols)}
+    out = []
+    for f in (c for c in range(red.width) if c not in red._pivots):
+        dense = [F(0)] * red.width
+        dense[f] = F(1)
+        for p in pivot_cols:
+            dense[p] = -pivot_row[p][f]
+        out.append(tuple(dense))
+    return out
+
+
+def ref_solution_space(rows, width):
+    red = RowReducer(width)
+    for row in rows:
+        red.add(row)
+    return Subspace.from_rows(ref_nullspace_rows(red), width)
+
+
+def _random_system(rng):
+    """Rows of a seeded random system: dense or mapping rows, zero rows,
+    dependent rows, integer or fractional entries, any density."""
+    width = rng.randint(1, 9)
+    density = rng.choice([0.15, 0.4, 0.8, 1.0])
+    fractional = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.1:
+            dense = [0] * width
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = rng.randint(-2, 2), F(rng.randint(-3, 3), rng.randint(1, 2))
+            dense = [ca * x + cb * y for x, y in zip(a, b)]
+        else:
+            dense = [(F(rng.randint(-6, 6), rng.randint(1, 5)) if fractional
+                      else rng.randint(-6, 6)) if rng.random() < density else 0
+                     for _ in range(width)]
+        rows.append(dense)
+    fed = [row if rng.random() < 0.5 else {c: v for c, v in enumerate(row) if v}
+           for row in rows]
+    return rows, fed, width
+
+
+def test_nullspace_matches_reference_route_on_seeded_systems():
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(400):
+        rows, fed, width = _random_system(rng)
+        kinds.update(type(r) for r in fed)
+        red = RowReducer(width)
+        for row in fed:
+            red.add(row)
+        assert red.nullspace_rows() == ref_nullspace_rows(red)
+        want = ref_solution_space(fed, width)
+        got = solution_space(fed, width)
+        assert got.basis.entries == want.basis.entries
+        assert all(type(x) is F for row in got.basis.entries for x in row)
+        assert nullspace(M(rows, width)) == want
+    assert kinds == {list, dict}
+
+
+def _ref_center_rows(L):
+    n = L.dim
+    for j in range(n):
+        for k in range(n):
+            yield [L.bracket_basis(i, j)[k] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["example1_16", "example2_17", "deformed_h_16", "free_step2_rank3"])
+def test_derivations_and_center_match_reference_route(name):
+    L = catalog.get(name).algebra
+    n = L.dim
+    assert L.derivation_algebra().basis.entries == \
+        ref_solution_space(L.leibniz_rows(), n * n).basis.entries
+    assert L.center().basis.entries == ref_solution_space(_ref_center_rows(L), n).basis.entries
+
+
+def test_solution_space_edges():
+    assert solution_space([], 3) == Subspace.full(3)
+    assert solution_space([{}, [0, 0, 0]], 3) == Subspace.full(3)
+    assert solution_space([], 0) == Subspace.zero(0)
+    assert solution_space([[1, 0, 0], [0, 0, 1]], 3) == span([unit_vec(3, 1)], 3)
+    with pytest.raises(ValueError, match="column 5 out of range 0..3"):
+        solution_space([{0: 1}, {5: 2}], 4)
+    with pytest.raises(ValueError, match="column -1 out of range 0..3"):
+        solution_space([{-1: 1}], 4)
+    with pytest.raises(ValueError, match="column 4 out of range 0..3"):
+        solution_space([[1, 0, 0, 0, 7]], 4)
+    with pytest.raises(TypeError):
+        solution_space([[1, 1.5]], 2)
+    with pytest.raises(TypeError):
+        solution_space([{1: 0.5}], 2)

@@ -213,6 +213,22 @@ def test_prolong_heisenberg5_matches_contact_hamiltonian_count():
     assert result.dims == tuple(contact_monomial_count(k + 2, 2) for k in range(5))
 
 
+def test_prolong_heisenberg9_matches_contact_hamiltonian_count():
+    entry = catalog.get("heisenberg_2n1(4)")
+    result = prolong(entry.algebra, strat_of(entry), 3)
+    assert result.dims == (37, 128, 367, 920)
+    assert result.dims == tuple(contact_monomial_count(k + 2, 4) for k in range(4))
+    assert result.finite is None
+
+
+def test_prolong_stores_canonical_bases():
+    entry = catalog.get("heisenberg_2n1(2)")
+    result = prolong(entry.algebra, strat_of(entry), 3)
+    for basis in result.bases:
+        flats = tuple(el.flatten() for el in basis)
+        assert Subspace.from_rows(flats, len(flats[0])).basis.entries == flats
+
+
 def test_prolong_heisenberg_g1_dim_against_hand_system(h3_prolonged):
     # unknowns (a1..a4, b1..b4, w1, w2): u(e1), u(e2) in g0 and u(e3) in V1;
     # the Leibniz condition on the three basis pairs reduces to 4 equations
