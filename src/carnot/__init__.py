@@ -31,7 +31,6 @@ from .grading import (
 )
 from .liealg import (
     LieAlgebra,
-    NotDerivationError,
     NotLieAlgebraError,
     SeriesReport,
     SingularMatrixError,
@@ -40,14 +39,11 @@ from .linalg import (
     Matrix,
     RowReducer,
     Subspace,
-    membership,
     nullspace,
     quotient_basis,
     rat,
     rref,
     solve_affine,
-    subspace_intersect,
-    subspace_sum,
 )
 from .tanaka import (
     AdaptedFrame,

@@ -29,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 from .liealg import LieAlgebra
 from .linalg import (
     Matrix,
+    RowReducer,
     Scalar,
     Subspace,
     Vec,
@@ -155,20 +156,20 @@ def coordinate_layers(n: int, ranges: Sequence[tuple[int, int]]) -> list[Subspac
 
 
 def _block_scalar_map(s: Stratification, factors: Sequence[Fraction]) -> Matrix:
-    """The map acting as factors[j] on layer j, in ambient coordinates."""
+    """The map M acting as factors[j] on layer j, in ambient coordinates.
+
+    With the adapted vectors p_a as the columns of P and f_a the factor of
+    p_a's layer, M = P F P^-1 solves P^T M^T = F P^T.  The layers form a
+    direct sum, so P is invertible and row reducing the rows
+    [p_a | f_a p_a] leaves the canonical rows [I | M^T]: one elimination,
+    with no inverse and no matrix product."""
     n = s.ambient_dim
-    adapted = [row for v in s.layers for row in v.basis_rows()]
-    p_cols = Matrix.from_rows(adapted, n).transpose()
-    p_inv = invert(p_cols)
-    assert p_inv is not None  # layers form a direct sum
-    diag_rows = []
-    scale = []
-    for j, v in enumerate(s.layers):
-        scale.extend([factors[j]] * v.dim)
-    for i in range(n):
-        diag_rows.append(tuple(scale[i] if k == i else Fraction(0) for k in range(n)))
-    diag = Matrix.from_rows(diag_rows, n)
-    return p_cols @ diag @ p_inv
+    red = RowReducer(2 * n)
+    for f, v in zip(factors, s.layers):
+        for p in v.basis_rows():
+            red.add(p + tuple(f * x for x in p))
+    m_t = tuple(r[n:] for r in red.canonical_rows())
+    return Matrix(n, n, m_t).transpose()
 
 
 def grading_derivation(s: Stratification) -> Matrix:
@@ -239,20 +240,15 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
     a_inv = invert(a_cols)
     assert a_inv is not None
     brackets: dict[tuple[int, int], Vec] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = weights[a] + weights[b]
-            z = L.bracket(reps[a], reps[b])
-            if is_zero_vec(z):
-                continue
-            coords = a_inv.apply(z)
-            # brackets respect the filtration: nothing above weight w
-            assert all(coords[k] == 0 for k in range(n) if weights[k] > w)
-            if w > s:
-                continue
-            graded = tuple(coords[k] if weights[k] == w else Fraction(0) for k in range(n))
-            if not is_zero_vec(graded):
-                brackets[(a, b)] = graded
+    for (a, b), coords in L._transported(a_cols, a_inv):
+        w = weights[a] + weights[b]
+        # brackets respect the filtration: nothing above weight w
+        assert all(weights[k] <= w for k in coords)
+        if w > s:
+            continue
+        graded = {k: c for k, c in coords.items() if weights[k] == w}
+        if graded:
+            brackets[(a, b)] = tuple(graded.get(k, Fraction(0)) for k in range(n))
     gr = LieAlgebra.from_brackets(n, brackets).validated()
     ranges = []
     start = 1

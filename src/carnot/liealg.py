@@ -21,13 +21,13 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
+    _sparse_cols,
     as_vec,
     invert,
     is_zero_vec,
     solution_space,
     unit_vec,
     vec_add,
-    vec_scale,
 )
 
 _ZERO = Fraction(0)
@@ -36,10 +36,6 @@ _ZERO = Fraction(0)
 class NotLieAlgebraError(ValueError):
     """Raised when an operation requires the Jacobi identity but the
     table violates it."""
-
-
-class NotDerivationError(ValueError):
-    pass
 
 
 class SingularMatrixError(ValueError):
@@ -174,14 +170,6 @@ class LieAlgebra:
         this is a Lie algebra.  Computed once per object."""
         return list(self._jacobi_defects)
 
-    def ad(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of y -> [x, y] (columns are images of basis vectors)."""
-        xx = as_vec(x)
-        if len(xx) != self.dim:
-            raise ValueError(f"vector must have length {self.dim}")
-        cols = [self.bracket(xx, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_rows(cols, self.dim).transpose()
-
     def lower_central_series(self) -> "SeriesReport":
         """gamma_1 = g, gamma_{i+1} = [g, gamma_i], computed on subspaces."""
         self.validated()
@@ -269,23 +257,6 @@ class LieAlgebra:
         self.validated()
         return solution_space(self.leibniz_rows(), self.dim ** 2)
 
-    def semidirect_with_derivation(self, d: Matrix) -> "LieAlgebra":
-        """Extend by a new generator acting as the derivation ``d``:
-        same table plus [e_{n+1}, e_i] = d(e_i)."""
-        if not self.is_derivation(d):
-            raise NotDerivationError("the supplied endomorphism is not a derivation")
-        n = self.dim
-        brackets: dict[tuple[int, int], Vec] = {}
-        for (i, j), vec in self.table:
-            brackets[(i, j)] = vec + (Fraction(0),)
-        for i in range(n):
-            col = d.col(i)
-            if not is_zero_vec(col):
-                # stored pair (i, n) = [e_i, e_{n+1}] = -d(e_i)
-                brackets[(i, n)] = vec_scale(-1, col) + (Fraction(0),)
-        labels = self.labels + (f"e{n + 1}",)
-        return LieAlgebra.from_brackets(n + 1, brackets, labels).validated()
-
     def change_of_basis(self, p: Matrix) -> "LieAlgebra":
         """The same algebra expressed in the basis given by the columns
         of the invertible matrix ``p``."""
@@ -294,15 +265,39 @@ class LieAlgebra:
         p_inv = invert(p)
         if p_inv is None:
             raise SingularMatrixError("change of basis matrix is singular")
-        n = self.dim
-        cols = [p.col(i) for i in range(n)]
-        brackets = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = self.bracket(cols[i], cols[j])
-                if not is_zero_vec(w):
-                    brackets[(i, j)] = p_inv.apply(w)
-        return LieAlgebra.from_brackets(n, brackets, self.labels)
+        brackets = {ij: self._dense(w) for ij, w in self._transported(p, p_inv)}
+        return LieAlgebra.from_brackets(self.dim, brackets, self.labels)
+
+    def _transported(self, p: Matrix, p_inv: Matrix):
+        """Yield ``((i, j), {k: c})`` for each nonzero [P e_i, P e_j],
+        i < j, written in the basis of the columns of ``p``.
+
+        Each column of ``p`` is bracketed sparsely through the table, and
+        only the nonzero coordinates of a bracket are mapped through the
+        sparse columns of ``p_inv``."""
+        ad = self._ad
+        cols = _sparse_cols(p)
+        inv_cols = _sparse_cols(p_inv)
+        for i, col_i in enumerate(cols):
+            ad_i: dict[int, dict[int, Fraction]] = {}  # [P e_i, e_b] per b
+            for a, x in col_i.items():
+                for b, coords in ad[a].items():
+                    acc = ad_i.setdefault(b, {})
+                    for k, c in coords.items():
+                        acc[k] = acc.get(k, _ZERO) + x * c
+            for j in range(i + 1, len(cols)):
+                w: dict[int, Fraction] = {}
+                for b, y in cols[j].items():
+                    for k, c in ad_i.get(b, {}).items():
+                        w[k] = w.get(k, _ZERO) + y * c
+                out: dict[int, Fraction] = {}
+                for k, z in w.items():
+                    if z:
+                        for q, c in inv_cols[k].items():
+                            out[q] = out.get(q, _ZERO) + z * c
+                out = {q: c for q, c in out.items() if c}
+                if out:
+                    yield (i, j), out
 
     def bracket_count(self) -> int:
         """Number of stored (nonzero) bracket pairs."""

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices and row-reduced subspaces with arbitrary-precision
-``Fraction`` entries.  Everything here is exact: floats are rejected at
-construction time and no tolerance appears anywhere.  Subspaces are kept
-in canonical reduced row echelon form, so equality of subspaces is plain
-entry-wise equality of their basis matrices.
+Immutable ``Matrix`` values and row-reduced subspaces with
+arbitrary-precision ``Fraction`` entries.  Everything here is exact:
+floats are rejected at construction time and no tolerance appears
+anywhere.  Subspaces are kept in canonical reduced row echelon form, so
+equality of subspaces is plain entry-wise equality of their basis
+matrices.  ``Matrix`` is the exchange format; hot paths read its nonzero
+entries (``_sparse_cols``) rather than multiplying dense matrices.
 
 One kernel does the elimination: ``RowReducer`` keeps sparse integer
 pivot rows.  Every solution space (``solution_space``, ``nullspace``)
@@ -178,10 +180,9 @@ class RowReducer:
         return len(self._pivots)
 
     def _to_sparse_int(self, row) -> dict[int, int]:
-        if isinstance(row, Mapping):
-            items = [(c, rat(v)) for c, v in row.items() if v]
-        else:
-            items = [(c, rat(v)) for c, v in enumerate(row) if v]
+        pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
+        # test again after coercion: the string "0" is truthy
+        items = [(c, x) for c, v in pairs if v and (x := rat(v))]
         for c, _ in items:
             if not (0 <= c < self.width):
                 raise ValueError(f"column {c} out of range 0..{self.width - 1}")
@@ -421,23 +422,21 @@ class Subspace:
         return out
 
 
+def _sparse_cols(m: Matrix) -> list[dict[int, Fraction]]:
+    """The nonzero entries of each column of ``m``, as ``{row: value}``."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
 def _leading_col(row: Vec) -> int:
     for j, x in enumerate(row):
         if x:
             return j
     raise ValueError("zero row has no leading column")
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def membership(v: Sequence[Scalar], s: Subspace) -> bool:
-    return s.contains(v)
 
 
 def solution_space(rows: Iterable, width: int) -> Subspace:
@@ -456,10 +455,10 @@ def solution_space(rows: Iterable, width: int) -> Subspace:
     for row in rows:
         flipped = {}
         for c, v in (row.items() if isinstance(row, Mapping) else enumerate(row)):
-            if v:
+            if v and (x := rat(v)):
                 if not 0 <= c < width:
                     raise ValueError(f"column {c} out of range 0..{last}")
-                flipped[last - c] = v
+                flipped[last - c] = x
         red.add(flipped)
     basis = tuple(v[::-1] for v in reversed(red.nullspace_rows()))
     return Subspace(width, Matrix(len(basis), width, basis))

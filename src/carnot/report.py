@@ -120,11 +120,11 @@ def build_report(label: str, algebra: LieAlgebra,
     if strat is not None:
         lines.append(f"layer_dims: {fmt_ints(strat.layer_dims)}")
         lines.append(f"Q: {grading.homogeneous_dimension(strat)}")
-        g0 = tanaka.degree_zero_derivations(algebra, strat)
+        result = tanaka.prolong(algebra, strat, prolong_cap)
+        g0 = tanaka.endomorphism_span(result.frame, result.bases[0])
         lines.append(f"g0_dim: {g0.dim}")
         for i, row in enumerate(g0.basis_rows()):
             lines.append(f"g0_basis[{i}]: {fmt_flat(row)}")
-        result = tanaka.prolong(algebra, strat, prolong_cap)
         lines.append(f"prolongation_cap: {prolong_cap}")
         lines.append(f"prolongation_dims: {fmt_ints(result.dims)}")
         lines.append("prolongation_finite: " +

@@ -39,6 +39,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vec,
+    _sparse_cols,
     invert,
     is_zero_vec,
     solution_space,
@@ -252,19 +253,26 @@ def _solve_component(frame: AdaptedFrame, k: int,
 
 
 def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
-    """A degree-0 element as an endomorphism in the original basis."""
+    """A degree-0 element as an endomorphism P A P^-1 in the original
+    basis, where A is block diagonal in adapted coordinates.  Column j is
+    P A (P^-1 e_j), built from the sparse columns of P^-1 and of P."""
     if el.degree != 0:
         raise ValueError("only degree-0 elements are endomorphisms")
     n = frame.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for l in range(1, frame.step + 1):
-        off = frame.offsets[l - 1]
-        block = el.blocks[l - 1]
-        for r in range(block.rows):
-            for c in range(block.cols):
-                rows[off + r][off + c] = block.entries[r][c]
-    adapted_endo = Matrix.from_rows(rows, n)
-    return frame.cols @ adapted_endo @ frame.cols_inv
+    p_cols = _sparse_cols(frame.cols)
+    out = []
+    for v in _sparse_cols(frame.cols_inv):
+        col = [Fraction(0)] * n
+        for b, x in v.items():
+            l = frame.weights[b]
+            off = frame.offsets[l - 1]
+            for r, row in enumerate(el.blocks[l - 1].entries):
+                y = row[b - off] * x  # a term of (A v)[off + r]
+                if y:
+                    for i, z in p_cols[off + r].items():
+                        col[i] += y * z
+        out.append(col)
+    return Matrix(n, n, tuple(zip(*out)))
 
 
 def grading_element(frame: AdaptedFrame) -> HomElement:
@@ -281,10 +289,14 @@ def degree_zero_derivations(L: LieAlgebra, s: Stratification) -> Subspace:
     """The strata-preserving derivations, as a subspace of the
     n^2-dimensional endomorphism space in the original basis."""
     frame = AdaptedFrame.build(L, s)
-    comps = _solve_component(frame, 0, [], [])
-    n = L.dim
-    rows = [hom0_to_endo(frame, el).flatten() for el in comps]
-    return Subspace.from_rows(rows, n * n)
+    return endomorphism_span(frame, _solve_component(frame, 0, [], []))
+
+
+def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Subspace:
+    """The span of degree-0 elements (such as a stored basis of g_0) as
+    endomorphisms in the original basis, in canonical form."""
+    rows = [hom0_to_endo(frame, el).flatten() for el in elements]
+    return Subspace.from_rows(rows, frame.dim ** 2)
 
 
 @dataclass(frozen=True)

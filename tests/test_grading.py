@@ -23,6 +23,8 @@ from carnot.grading import (
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, unit_vec
 
+from helpers import semidirect_with_derivation
+
 F = Fraction
 
 
@@ -284,7 +286,7 @@ def test_nilpotentisation_of_l5():
 def test_is_stratifiable_requires_nilpotent(example1):
     d_rows = [[F((1 if j < 10 else 2) if i == j else 0) for j in range(16)]
               for i in range(16)]
-    td = example1.semidirect_with_derivation(Matrix.from_rows(d_rows, 16))
+    td = semidirect_with_derivation(example1, Matrix.from_rows(d_rows, 16))
     with pytest.raises(NotNilpotentError):
         is_stratifiable(td)
 

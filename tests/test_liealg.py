@@ -6,11 +6,12 @@ import pytest
 from carnot import catalog
 from carnot.liealg import (
     LieAlgebra,
-    NotDerivationError,
     NotLieAlgebraError,
     SingularMatrixError,
 )
 from carnot.linalg import Matrix, Subspace, is_zero_vec, unit_vec, vec_add, zero_vec
+
+from helpers import NotDerivationError, ad_matrix, semidirect_with_derivation
 
 F = Fraction
 
@@ -272,7 +273,7 @@ def test_lower_central_series_non_nilpotent(example1):
     d_rows = [[F(1 if i == j else 0) * (1 if j < 10 else 2) for j in range(16)]
               for i in range(16)]
     D = Matrix.from_rows(d_rows, 16)
-    td = example1.semidirect_with_derivation(D)
+    td = semidirect_with_derivation(example1, D)
     s = td.lower_central_series()
     assert not s.nilpotent
     assert s.step is None
@@ -290,11 +291,11 @@ def test_center(example1):
 
 def test_ad(example1):
     h3 = heisenberg3()
-    assert h3.ad(zero_vec(3)) == Matrix.zeros(3, 3)
-    ad1 = h3.ad(unit_vec(3, 0))
+    assert ad_matrix(h3, zero_vec(3)) == Matrix.zeros(3, 3)
+    ad1 = ad_matrix(h3, unit_vec(3, 0))
     assert ad1.apply(unit_vec(3, 1)) == (0, 0, 1)
     assert ad1.apply(unit_vec(3, 2)) == (0, 0, 0)
-    ad_e1 = example1.ad(unit_vec(16, 0))
+    ad_e1 = ad_matrix(example1, unit_vec(16, 0))
     nonzero_cols = [j for j in range(16) if any(ad_e1.col(j))]
     assert nonzero_cols == [1, 2, 3, 4, 5]  # e2..e6
 
@@ -306,7 +307,7 @@ def test_is_derivation(example1):
     rng = random.Random(9)
     for _ in range(5):
         x = [rng.randint(-2, 2) for _ in range(16)]
-        assert example1.is_derivation(example1.ad(x))
+        assert example1.is_derivation(ad_matrix(example1, x))
 
 
 def test_derivation_algebra_abelian():
@@ -333,7 +334,7 @@ def test_derivation_algebra_example1(example1):
               for i in range(16)]
     assert der.contains(Matrix.from_rows(d_rows, 16).flatten())
     for i in range(16):
-        assert der.contains(example1.ad(unit_vec(16, i)).flatten())
+        assert der.contains(ad_matrix(example1, unit_vec(16, i)).flatten())
 
 
 def test_derivation_algebra_requires_lie():
@@ -343,7 +344,7 @@ def test_derivation_algebra_requires_lie():
 
 
 def test_semidirect_affine_line():
-    affine = abelian(1).semidirect_with_derivation(Matrix.identity(1))
+    affine = semidirect_with_derivation(abelian(1), Matrix.identity(1))
     assert affine.dim == 2
     # [e2, e1] = e1
     assert affine.bracket(unit_vec(2, 1), unit_vec(2, 0)) == (F(1), F(0))
@@ -354,7 +355,7 @@ def test_semidirect_with_grading_derivation(example1):
     d_rows = [[F((1 if j < 10 else 2) if i == j else 0) for j in range(16)]
               for i in range(16)]
     D = Matrix.from_rows(d_rows, 16)
-    td = example1.semidirect_with_derivation(D)
+    td = semidirect_with_derivation(example1, D)
     assert td.dim == 17
     assert td.jacobi_defect() == []
     for i in range(16):
@@ -365,14 +366,14 @@ def test_semidirect_with_grading_derivation(example1):
 
 def test_semidirect_with_zero_derivation():
     h3 = heisenberg3()
-    ext = h3.semidirect_with_derivation(Matrix.zeros(3, 3))
+    ext = semidirect_with_derivation(h3, Matrix.zeros(3, 3))
     assert ext.dim == 4
     assert ext.center().contains(unit_vec(4, 3))
 
 
 def test_semidirect_rejects_non_derivation():
     with pytest.raises(NotDerivationError):
-        heisenberg3().semidirect_with_derivation(Matrix.identity(3))
+        semidirect_with_derivation(heisenberg3(), Matrix.identity(3))
 
 
 def test_change_of_basis_identity(example1):

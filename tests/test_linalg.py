@@ -9,15 +9,12 @@ from carnot.linalg import (
     RowReducer,
     Subspace,
     invert,
-    membership,
     nullspace,
     quotient_basis,
     rat,
     rref,
     solution_space,
     solve_affine,
-    subspace_intersect,
-    subspace_sum,
     unit_vec,
     zero_vec,
 )
@@ -90,8 +87,8 @@ def test_nullspace_single_row():
 def test_subspace_sum_idempotent_and_unit_spans():
     a = span([unit_vec(2, 0)], 2)
     b = span([unit_vec(2, 1)], 2)
-    assert subspace_sum(a, a) == a
-    assert subspace_sum(a, b) == Subspace.full(2)
+    assert a + a == a
+    assert a + b == Subspace.full(2)
 
 
 def test_subspace_sum_diagonal_spans():
@@ -103,10 +100,10 @@ def test_subspace_sum_diagonal_spans():
 
 def test_intersect_trivial_cases():
     a = span([[1, 2], [0, 1]], 2)
-    assert subspace_intersect(a, Subspace.full(2)) == a
+    assert a.intersect(Subspace.full(2)) == a
     e1 = span([unit_vec(2, 0)], 2)
     e2 = span([unit_vec(2, 1)], 2)
-    assert subspace_intersect(e1, e2).dim == 0
+    assert e1.intersect(e2).dim == 0
 
 
 def test_intersect_overlapping_planes():
@@ -152,10 +149,10 @@ def test_dimension_formula_examples():
 
 def test_membership():
     s = span([unit_vec(3, 0), unit_vec(3, 1)], 3)
-    assert membership(zero_vec(3), s)
-    assert not membership(unit_vec(2, 0), span([unit_vec(2, 1)], 2))
-    assert membership([1, 1, 0], s)
-    assert not membership([1, 1, 1], s)
+    assert s.contains(zero_vec(3))
+    assert not span([unit_vec(2, 1)], 2).contains(unit_vec(2, 0))
+    assert s.contains([1, 1, 0])
+    assert not s.contains([1, 1, 1])
 
 
 def test_solve_affine_identity():
@@ -383,3 +380,21 @@ def test_solution_space_edges():
         solution_space([[1, 1.5]], 2)
     with pytest.raises(TypeError):
         solution_space([{1: 0.5}], 2)
+
+
+def test_string_zero_entries_are_zero():
+    # "0" is a truthy string: it must be coerced before the zero test, or
+    # it is stored as a pivot with lead 0
+    red = RowReducer(3)
+    assert red.add({0: "0", 1: "1"})
+    assert red.canonical_rows() == [(F(0), F(1), F(0))]
+    assert not red.add(["0", "-2", "0"])
+    assert rref(M([["0", "0", "1"], ["0", "2", "0"]]))[0] == M([[0, 1, 0], [0, 0, 1]])
+    assert nullspace(M([["0", "1", "0"]])) == span([unit_vec(3, 0), unit_vec(3, 2)], 3)
+
+
+def test_solution_space_string_zero_entries():
+    assert solution_space([{0: "0", 1: "1"}], 3) == span([unit_vec(3, 0), unit_vec(3, 2)], 3)
+    assert solution_space([["0", "0", "0"]], 3) == Subspace.full(3)
+    # a string zero out of range is a zero, not a range error
+    assert solution_space([{7: "0"}], 2) == Subspace.full(2)

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
-from carnot import report
-from carnot.grading import verify_stratification
+from carnot import catalog, report, tanaka
+from carnot.cli import main
+from carnot.grading import coordinate_layers, verify_stratification
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace
+
+from helpers import semidirect_with_derivation
 
 F = Fraction
 
@@ -45,7 +48,7 @@ def test_build_report_shows_violations_and_stops():
 
 def test_build_report_non_nilpotent():
     d = Matrix.identity(1)
-    affine = LieAlgebra.from_brackets(1, {}).semidirect_with_derivation(d)
+    affine = semidirect_with_derivation(LieAlgebra.from_brackets(1, {}), d)
     text, ok = report.build_report("affine", affine, None)
     assert ok
     assert "nilpotent: false" in text
@@ -53,3 +56,40 @@ def test_build_report_non_nilpotent():
     assert "series_dims: 2 1" in text
     assert "stratifiable: none" in text
     assert "g0_dim: none" in text
+
+
+def test_build_report_builds_one_frame_and_solves_g0_once(monkeypatch):
+    calls = {"frame": 0, "g0": 0}
+    build, solve = tanaka.AdaptedFrame.build, tanaka._solve_component
+
+    def counting_build(*args):
+        calls["frame"] += 1
+        return build(*args)
+
+    def counting_solve(frame, k, *args):
+        calls["g0"] += k == 0
+        return solve(frame, k, *args)
+
+    monkeypatch.setattr(tanaka.AdaptedFrame, "build", staticmethod(counting_build))
+    monkeypatch.setattr(tanaka, "_solve_component", counting_solve)
+    entry = catalog.get("example1_16")
+    text, ok = report.build_report("example1_16", entry.algebra, entry.declared_layers)
+    assert ok
+    assert calls == {"frame": 1, "g0": 1}
+    monkeypatch.undo()
+
+    s = verify_stratification(entry.algebra,
+                              coordinate_layers(entry.algebra.dim, entry.declared_layers))
+    rows = tanaka.degree_zero_derivations(entry.algebra, s).basis_rows()
+    expected = [f"g0_basis[{i}]: {report.fmt_flat(row)}" for i, row in enumerate(rows)]
+    assert [line for line in text.splitlines() if line.startswith("g0_basis[")] == expected
+    assert f"g0_dim: {len(rows)}" in text.splitlines()
+
+
+def test_report_max_zero_keeps_g0_lines(capsys):
+    assert main(["report", "heisenberg_3", "--max", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "g0_dim: 4" in out
+    assert sum(line.startswith("g0_basis[") for line in out) == 4
+    assert "prolongation_cap: 0" in out
+    assert "prolongation_dims: 4" in out
