@@ -274,13 +274,21 @@ class StratifiabilityVerdict:
 
 
 def is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
-    """Decide stratifiability via exact affine feasibility.
+    """Decide stratifiability via exact affine feasibility inside ``Der``.
 
-    Searches for a derivation d with (d - id)(e_i) in [g, g] for every
-    basis vector.  When feasible, the generalized eigenspaces of a
-    witness for the forced integer eigenvalues 1..s are extracted and
-    validated as a stratification; the returned witness is the grading
-    derivation of that stratification (the semisimple part).
+    Seeks a feasible derivation d with f(d(e_i)) = f(e_i) for every basis
+    vector e_i and every functional f cutting out [g, g], i.e. with
+    (d - id)(g) in [g, g].  The unknowns are the coordinates of d on the
+    canonical basis of :meth:`LieAlgebra.derivation_algebra`, so the
+    Leibniz system is not eliminated a second time.  The feasible set is
+    p + W with W in ``Der``.  The witness is its canonical min-lead
+    solution: the one element that is zero at the free columns of the
+    same system written in all n^2 entries of d, found by reducing p
+    modulo W in echelon form with leads at each vector's highest nonzero
+    column.  When feasible, the generalized eigenspaces of the witness
+    for the forced integer eigenvalues 1..s are extracted and validated
+    as a stratification; the returned witness is the grading derivation
+    of that stratification (the semisimple part).
     """
     series = L.lower_central_series()
     if not series.nilpotent:
@@ -288,18 +296,50 @@ def is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
     n = L.dim
     gamma2 = series.terms[1] if len(series.terms) > 1 else Subspace.zero(n)
     functionals = gamma2.quotient_functionals()
-    rows = []
-    for row in L.leibniz_rows():
-        rows.append(row)
+    # the functionals reading coordinate k, as (functional, coefficient)
+    readers: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for t, f in enumerate(functionals):
+        for k, c in enumerate(f):
+            if c:
+                readers[k].append((t, c))
+    der = [{col: v for col, v in enumerate(d) if v}
+           for d in L.derivation_algebra().basis_rows()]
+    m = len(der)
+    # row (i, t): sum_a x_a f_t(D_a(e_i)) = f_t(e_i); D_a(e_i) has
+    # coordinate k at flat index k*n + i
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for a, d in enumerate(der):
+        for col, v in d.items():
+            k, i = divmod(col, n)
+            for t, c in readers[k]:
+                row = rows.setdefault((i, t), {})
+                row[a] = row.get(a, 0) + c * v
     for i in range(n):
-        for f in functionals:
-            row = {k * n + i: f[k] for k in range(n) if f[k]}
-            row[n * n] = f[i]  # rhs: the constraint is f(d(e_i)) = f(e_i)
-            rows.append(row)
-    sol = solve_affine_rows(rows, n * n)
+        for t, f in enumerate(functionals):
+            if f[i]:
+                rows.setdefault((i, t), {})[m] = f[i]
+    sol = solve_affine_rows(rows.values(), m)
     if sol is None:
         return StratifiabilityVerdict(False, None, None)
-    delta = Matrix.from_flat(sol.particular, n, n)
+
+    def lift(x: Vec) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for a, xa in enumerate(x):
+            if xa:
+                for col, v in der[a].items():
+                    out[col] = out.get(col, 0) + xa * v
+        return out
+
+    # W with columns reversed: its canonical rows lead at the highest
+    # original column, and reduce_mod clears p at exactly those columns
+    last = n * n - 1
+    w_flipped = Subspace.from_rows(
+        [{last - col: v for col, v in lift(h).items()}
+         for h in sol.homogeneous.basis_rows()], n * n)
+    p = [Fraction(0)] * (n * n)
+    for col, v in lift(sol.particular).items():
+        p[last - col] = v
+    delta = Matrix.from_flat(w_flipped.reduce_mod(p)[::-1], n, n)
     s = series.step
     assert s is not None
     layers = []

@@ -171,7 +171,14 @@ class LieAlgebra:
         return list(self._jacobi_defects)
 
     def lower_central_series(self) -> "SeriesReport":
-        """gamma_1 = g, gamma_{i+1} = [g, gamma_i], computed on subspaces."""
+        """gamma_1 = g, gamma_{i+1} = [g, gamma_i], computed on subspaces
+        once per object; every call returns the same report."""
+        return self._series
+
+    @cached_property
+    def _series(self) -> "SeriesReport":
+        # validated() raises before anything is cached, so a non-Lie
+        # table raises on every call
         self.validated()
         n = self.dim
         terms = [Subspace.full(n)]
@@ -253,7 +260,12 @@ class LieAlgebra:
 
     def derivation_algebra(self) -> Subspace:
         """Solution space of the Leibniz system, as a subspace of the
-        n^2-dimensional endomorphism space (row-major flattening)."""
+        n^2-dimensional endomorphism space (row-major flattening),
+        eliminated once per object; every call returns the same space."""
+        return self._derivations
+
+    @cached_property
+    def _derivations(self) -> Subspace:
         self.validated()
         return solution_space(self.leibniz_rows(), self.dim ** 2)
 
@@ -265,6 +277,11 @@ class LieAlgebra:
         p_inv = invert(p)
         if p_inv is None:
             raise SingularMatrixError("change of basis matrix is singular")
+        return self._changed_basis(p, p_inv)
+
+    def _changed_basis(self, p: Matrix, p_inv: Matrix) -> "LieAlgebra":
+        """:meth:`change_of_basis` for a caller that already holds
+        ``p_inv``, the inverse of ``p``."""
         brackets = {ij: self._dense(w) for ij, w in self._transported(p, p_inv)}
         return LieAlgebra.from_brackets(self.dim, brackets, self.labels)
 

@@ -77,7 +77,7 @@ class AdaptedFrame:
         cols = adapted.transpose()
         cols_inv = invert(cols)
         assert cols_inv is not None
-        graded = L.change_of_basis(cols)
+        graded = L._changed_basis(cols, cols_inv)
         weights: list[int] = []
         offsets = [0]
         for j, v in enumerate(s.layers):

@@ -2,8 +2,16 @@
 
 from fractions import Fraction
 
+from carnot.grading import (
+    NotNilpotentError,
+    SmallFirstLayerError,
+    StratifiabilityVerdict,
+    TrivialTopLayerError,
+    grading_derivation,
+    verify_stratification,
+)
 from carnot.liealg import LieAlgebra
-from carnot.linalg import Matrix, as_vec, is_zero_vec, unit_vec
+from carnot.linalg import Matrix, Subspace, as_vec, is_zero_vec, nullspace, solve_affine_rows, unit_vec
 
 
 class NotDerivationError(ValueError):
@@ -32,3 +40,44 @@ def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:
             # stored pair (i, n) = [e_i, e_{n+1}] = -d(e_i)
             brackets[(i, n)] = tuple(-x for x in col) + (Fraction(0),)
     return LieAlgebra.from_brackets(n + 1, brackets, L.labels + (f"e{n + 1}",)).validated()
+
+
+def reference_is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
+    """The stratifiability decision as one affine solve over all n^2
+    entries of d: the Leibniz rows plus f(d(e_i)) = f(e_i) for every
+    functional f cutting out [g, g], eliminated together in n^2 + 1
+    columns.  Its particular solution (zero at every free column) is the
+    witness that ``grading.is_stratifiable`` must reproduce."""
+    series = L.lower_central_series()
+    if not series.nilpotent:
+        raise NotNilpotentError("only nilpotent algebras can be stratified")
+    n = L.dim
+    gamma2 = series.terms[1] if len(series.terms) > 1 else Subspace.zero(n)
+    functionals = gamma2.quotient_functionals()
+    rows = list(L.leibniz_rows())
+    for i in range(n):
+        for f in functionals:
+            row = {k * n + i: f[k] for k in range(n) if f[k]}
+            row[n * n] = f[i]
+            rows.append(row)
+    sol = solve_affine_rows(rows, n * n)
+    if sol is None:
+        return StratifiabilityVerdict(False, None, None)
+    delta = Matrix.from_flat(sol.particular, n, n)
+    s = series.step
+    layers = []
+    for j in range(1, s + 1):
+        expected = series.terms[j - 1].dim - series.terms[j].dim
+        power = delta - Matrix.identity(n).scaled(j)
+        exponent = 1
+        ker = nullspace(power)
+        while ker.dim < expected and exponent < n:
+            power = power @ power
+            exponent *= 2
+            ker = nullspace(power)
+        layers.append(ker)
+    try:
+        strat = verify_stratification(L, layers)
+    except (SmallFirstLayerError, TrivialTopLayerError):
+        return StratifiabilityVerdict(True, delta, None)
+    return StratifiabilityVerdict(True, grading_derivation(strat), strat)

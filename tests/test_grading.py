@@ -23,7 +23,8 @@ from carnot.grading import (
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, unit_vec
 
-from helpers import semidirect_with_derivation
+from helpers import reference_is_stratifiable, semidirect_with_derivation
+from propsuites import random_unimodular
 
 F = Fraction
 
@@ -223,13 +224,16 @@ def test_is_stratifiable_abelian():
     assert v1.stratifiable and v1.derived_stratification is None
 
 
-def test_is_stratifiable_filiform4():
+def _filiform4():
     # [e1,e2]=e3, [e1,e3]=e4: graded with layers (2, 1, 1)
-    f4 = LieAlgebra.from_brackets(4, {
+    return LieAlgebra.from_brackets(4, {
         (0, 1): (0, 0, 1, 0),
         (0, 2): (0, 0, 0, 1),
     })
-    v = is_stratifiable(f4)
+
+
+def test_is_stratifiable_filiform4():
+    v = is_stratifiable(_filiform4())
     assert v.stratifiable
     assert v.derived_stratification.layer_dims == (2, 1, 1)
 
@@ -305,3 +309,46 @@ def test_is_stratifiable_invariant_under_conjugation(example1):
         assert v.stratifiable
         assert v.derived_stratification is not None
         assert v.derived_stratification.layer_dims == (10, 6)
+
+
+def _assert_same_verdict(L):
+    got = is_stratifiable(L)
+    want = reference_is_stratifiable(L)
+    assert got.stratifiable == want.stratifiable
+    assert got.witness == want.witness
+    assert got.derived_stratification == want.derived_stratification
+
+
+_REFERENCE_CASES = {name: (lambda name=name: catalog.get(name).algebra)
+                    for name, _ in catalog.list_entries()}
+_REFERENCE_CASES.update({"abelian(1)": lambda: abelian(1), "filiform4": _filiform4,
+                         "l5": _l5_nonstratifiable})
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_CASES))
+def test_is_stratifiable_matches_full_affine_reference(name):
+    _assert_same_verdict(_REFERENCE_CASES[name]())
+
+
+@pytest.mark.parametrize("name", ["example1_16", "example2_17", "deformed_h_16",
+                                  "heisenberg_3", "free_step2_rank3"])
+def test_is_stratifiable_matches_full_affine_reference_conjugated(name):
+    # the free columns of the affine system move with the basis, so the
+    # canonical witness is checked away from the catalog's own basis too
+    L = catalog.get(name).algebra
+    rng = random.Random(71)
+    for _ in range(2):
+        _assert_same_verdict(L.change_of_basis(random_unimodular(L.dim, rng)))
+
+
+def test_is_stratifiable_independent_of_der_call_order(example2):
+    def fresh():
+        return LieAlgebra(example2.dim, example2.labels, example2.table)
+
+    der_first = fresh()
+    der = der_first.derivation_algebra()
+    after = is_stratifiable(der_first)
+    strat_first = fresh()
+    before = is_stratifiable(strat_first)
+    assert before == after
+    assert strat_first.derivation_algebra() == der

@@ -343,6 +343,24 @@ def test_derivation_algebra_requires_lie():
         bad.derivation_algebra()
 
 
+def test_derivation_algebra_and_series_computed_once(example1):
+    conj = example1.change_of_basis(Matrix.identity(16))
+    assert conj.derivation_algebra() is conj.derivation_algebra()
+    assert conj.lower_central_series() is conj.lower_central_series()
+    assert conj.derivation_algebra() == example1.derivation_algebra()
+    # the caches live outside the dataclass fields
+    assert conj == example1 and hash(conj) == hash(example1)
+
+
+def test_non_lie_table_raises_on_every_series_and_der_call():
+    bad = LieAlgebra.from_brackets(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+    for _ in range(2):
+        with pytest.raises(NotLieAlgebraError):
+            bad.lower_central_series()
+        with pytest.raises(NotLieAlgebraError):
+            bad.derivation_algebra()
+
+
 def test_semidirect_affine_line():
     affine = semidirect_with_derivation(abelian(1), Matrix.identity(1))
     assert affine.dim == 2

@@ -288,6 +288,25 @@ def test_vanishing_is_monotone_when_computed_past_a_zero(ex1):
     assert g2 == []
 
 
+def test_adapted_frame_inverts_its_frame_once(ex1, monkeypatch):
+    import carnot.liealg
+    import carnot.tanaka
+    from carnot.linalg import invert
+
+    calls = []
+
+    def counting_invert(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(carnot.tanaka, "invert", counting_invert)
+    monkeypatch.setattr(carnot.liealg, "invert", counting_invert)
+    L, s = ex1
+    frame = AdaptedFrame.build(L, s)
+    assert calls == [frame.cols]
+    assert frame.graded == L.change_of_basis(frame.cols)
+
+
 def test_hom_element_shapes(h3_prolonged):
     for u in h3_prolonged.bases[1]:
         assert u.degree == 1
