@@ -13,6 +13,7 @@ from carnot.tanaka import (
     ComponentNotComputedError,
     HomElement,
     MembershipError,
+    ProlongationResult,
     _solve_component,
     degree_zero_derivations,
     grading_element,
@@ -623,6 +624,110 @@ def test_tower_bracket_satisfies_jacobi(name, cap, seed):
                  + result.bracket(v, result.bracket(w, u))
                  + result.bracket(w, result.bracket(u, v)))
         assert total.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# coordinates by pivot read-off, against the solve_affine reference
+# ---------------------------------------------------------------------------
+
+def free_2_3():
+    """free(2,3), the free 3-step algebra on two generators, whose tower
+    is the graded G_2 (Cartan 1910; Yamaguchi 1993)."""
+    L = LieAlgebra.from_brackets(5, {(0, 1): (0, 0, 1, 0, 0),
+                                     (0, 2): (0, 0, 0, 1, 0),
+                                     (1, 2): (0, 0, 0, 0, 1)})
+    return L, verify_stratification(L, coordinate_layers(5, [(1, 2), (3, 3), (4, 5)]))
+
+
+@pytest.fixture(scope="module")
+def read_off_towers():
+    out = {}
+    for name, cap in (("heisenberg_3", 4), ("free_step2_rank3", 3), ("heisenberg_2n1(2)", 2)):
+        entry = catalog.get(name)
+        out[name] = prolong(entry.algebra, strat_of(entry), cap)
+    out["free(2,3)"] = prolong(*free_2_3(), 6)
+    return out
+
+
+def _with_entry(el, pos, value):
+    """``el`` with the entry at flat position ``pos`` replaced."""
+    blocks = []
+    for b in el.blocks:
+        size = b.rows * b.cols
+        flat = list(b.flatten())
+        if 0 <= pos < size:
+            flat[pos] = value
+        blocks.append(Matrix.from_flat(flat, b.rows, b.cols))
+        pos -= size
+    return HomElement(el.degree, tuple(blocks))
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "free_step2_rank3",
+                                  "heisenberg_2n1(2)", "free(2,3)"])
+def test_coordinates_read_off_matches_affine_reference(read_off_towers, name):
+    result = read_off_towers[name]
+    rng = random.Random(8)
+    for k, basis in enumerate(result.bases):
+        if not basis:
+            continue
+        members = list(basis)
+        for _ in range(20):
+            el = basis[0].scaled(0)
+            for b in basis:
+                el = el + b.scaled(F(rng.randint(-4, 4), rng.randint(1, 3)))
+            members.append(el)
+        pivots = {next(c for c, x in enumerate(b.flatten()) if x) for b in basis}
+        free_cols = [c for c in range(len(basis[0].flatten())) if c not in pivots]
+        for el in members:
+            coords = result.coordinates_of(el)
+            assert coords == _ref_coordinates(result, el)
+            if el in basis:
+                assert coords == unit_vec(len(basis), basis.index(el))
+            if free_cols:
+                c = rng.choice(free_cols)
+                bad = _with_entry(el, c, el.flatten()[c] + F(rng.choice([-2, 1, 3]), 2))
+                with pytest.raises(MembershipError):
+                    result.coordinates_of(bad)
+                with pytest.raises(MembershipError):
+                    _ref_coordinates(result, bad)
+
+
+def test_coordinates_in_vanishing_component(read_off_towers):
+    result = read_off_towers["free(2,3)"]
+    assert result.dims[4] == 0
+    shapes = [(result.component_dim(4 - l), result.frame.layer_dim(l)) for l in (1, 2, 3)]
+    zero = HomElement(4, tuple(Matrix.zeros(r, c) for r, c in shapes))
+    assert result.coordinates_of(zero) == _ref_coordinates(result, zero) == ()
+    nonzero = _with_entry(zero, 5, F(1, 3))
+    with pytest.raises(MembershipError):
+        result.coordinates_of(nonzero)
+    with pytest.raises(MembershipError):
+        _ref_coordinates(result, nonzero)
+
+
+def test_finite_tower_bracket_past_its_last_degree():
+    result = prolong(*free_2_3(), 6)
+    assert result.dims == (4, 2, 1, 2, 0)
+    assert result.finite is True
+    w = result.bracket(result.bases[3][0], result.bases[3][1])
+    assert w.degree == 6
+    assert tuple((b.rows, b.cols) for b in w.blocks) == ((0, 2), (0, 1), (2, 2))
+    assert w.is_zero()
+
+
+def test_coordinates_of_rejects_wrong_shapes_and_non_canonical_bases(h3):
+    L, s = h3
+    result = prolong(L, s, 1)
+    u = result.bases[1][0]
+    with pytest.raises(ValueError, match="shapes"):
+        result.coordinates_of(HomElement(0, u.blocks))
+    g1 = result.bases[1]
+    for bad_g1 in (tuple(b.scaled(2) for b in g1),                  # pivot entries 2
+                   (g1[0], g1[0] + g1[1]) + g1[2:],                 # a repeated pivot
+                   (g1[0] + g1[1],) + g1[1:]):                      # a nonzero above a pivot
+        bad = ProlongationResult(result.dims, result.finite, (result.bases[0], bad_g1), result.frame)
+        with pytest.raises(ValueError, match="canonical"):
+            bad.coordinates_of(u)
 
 
 # ---------------------------------------------------------------------------
