@@ -7,6 +7,10 @@ the table (brackets, Jacobi, Leibniz rows, series, center) goes through
 one sparse index with both orientations, built once per object, so work
 scales with the nonzero brackets rather than with ``dim**3``.  Basis
 indices are 0-based internally; the default labels are ``e1..en``.
+
+The Leibniz identity is assembled once, in :func:`_leibniz_system`, for
+the n^2 entries of an endomorphism (:meth:`LieAlgebra.leibniz_rows`) or
+the blocks of one degree of the tower (``tanaka._solve_component``).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Matrix,
@@ -26,8 +30,6 @@ from .linalg import (
     invert,
     is_zero_vec,
     solution_space,
-    unit_vec,
-    vec_add,
 )
 
 _ZERO = Fraction(0)
@@ -43,6 +45,39 @@ class SingularMatrixError(ValueError):
 
 
 JacobiDefect = tuple[int, int, int, Vec]
+
+
+def _leibniz_system(ad, n: int, cols: Callable[[int], Sequence[int]],
+                    terms: Callable[[int, int], Iterable[tuple[int, int, Fraction]]]):
+    """Nonzero sparse rows of u([e_a, e_b]) - [u(e_a), e_b] - [e_a, u(e_b)]
+    = 0, one per pair a < b and target coordinate q, for the table ``ad``
+    (a ``LieAlgebra._ad``) of dimension n.
+
+    The caller gives the layout of the unknowns of u: ``cols(c)`` lists
+    the columns of u(e_c), one per target coordinate, and ``terms(a, b)``
+    yields ``(q, col, x)``, each (q, col) once: unknown ``col`` times ``x``
+    is a term of coordinate q of [e_b, u(e_a)].  The row is u([e_a, e_b])
+    followed by ``terms(a, b)`` minus ``terms(b, a)`` (which never share
+    a column) in ascending columns."""
+    for a in range(n):
+        ad_a = ad[a]
+        for b in range(a + 1, n):
+            cab = [(cols(l), c) for l, c in sorted(ad_a.get(b, {}).items())]
+            parts: dict[int, dict[int, Fraction]] = {}
+            for q, col, x in terms(a, b):
+                parts.setdefault(q, {})[col] = x
+            for q, col, x in terms(b, a):
+                parts.setdefault(q, {})[col] = -x
+            # every coordinate of [e_a, e_b] is in one degree, so all of
+            # its unknown columns have the same number of targets
+            for q in (range(len(cab[0][0])) if cab else sorted(parts)):
+                row: dict[int, Fraction] = {cl[q]: c for cl, c in cab}
+                part = parts.get(q, {})
+                for col in sorted(part):
+                    row[col] = row[col] + part[col] if col in row else part[col]
+                row = {col: v for col, v in row.items() if v}
+                if row:
+                    yield row
 
 
 @dataclass(frozen=True)
@@ -185,12 +220,19 @@ class LieAlgebra:
         while True:
             prev = terms[-1]
             rows = []
-            for i in range(n):
-                if not self._ad[i]:
+            for ad_i in self._ad:
+                if not ad_i:
                     continue
                 for v in prev.basis_rows():
-                    w = self.bracket(unit_vec(n, i), v)
-                    if not is_zero_vec(w):
+                    # [e_i, v], sparse
+                    w: dict[int, Fraction] = {}
+                    for j, coords in ad_i.items():
+                        x = v[j]
+                        if x:
+                            for k, c in coords.items():
+                                w[k] = w.get(k, _ZERO) + x * c
+                    w = {k: c for k, c in w.items() if c}
+                    if w:
                         rows.append(w)
             nxt = Subspace.from_rows(rows, n)
             if nxt.dim == 0:
@@ -214,19 +256,13 @@ class LieAlgebra:
         return solution_space(rows, self.dim)
 
     def is_derivation(self, u: Matrix) -> bool:
-        """Leibniz identity u[x,y] = [u x, y] + [x, u y] on all basis pairs."""
+        """Leibniz identity u[x,y] = [u x, y] + [x, u y] on all basis
+        pairs: every row of :meth:`leibniz_rows` vanishes at the
+        row-major flattening of ``u``."""
         if u.rows != self.dim or u.cols != self.dim:
             raise ValueError("endomorphism shape mismatch")
-        n = self.dim
-        for i in range(n):
-            ui = u.col(i)
-            for j in range(i + 1, n):
-                lhs = u.apply(self.bracket_basis(i, j))
-                rhs = vec_add(self.bracket(ui, unit_vec(n, j)),
-                              self.bracket(unit_vec(n, i), u.col(j)))
-                if lhs != rhs:
-                    return False
-        return True
+        flat = u.flatten()
+        return not any(sum(x * flat[c] for c, x in row.items()) for row in self.leibniz_rows())
 
     def leibniz_rows(self):
         """Sparse rows of the Leibniz system in the n^2 unknowns u[k][l]
@@ -237,26 +273,14 @@ class LieAlgebra:
         """
         n = self.dim
         ad = self._ad
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = sorted(ad[i].get(j, {}).items())
-                # per coordinate k, the entries of the two sums over l; the
-                # columns l*n + i < l*n + j are distinct, and ascending
-                # column order is ascending l, the c_{lj}^k entry first
-                terms: dict[int, list[tuple[int, Fraction]]] = {}
-                for l, coords in ad[j].items():  # -c_{lj}^k = c_{jl}^k
-                    for k, c in coords.items():
-                        terms.setdefault(k, []).append((l * n + i, c))
-                for l, coords in ad[i].items():  # -c_{il}^k
-                    for k, c in coords.items():
-                        terms.setdefault(k, []).append((l * n + j, -c))
-                for k in (range(n) if cij else sorted(terms)):
-                    row: dict[int, Fraction] = {k * n + l: c for l, c in cij}
-                    for col, c in sorted(terms.get(k, ())):
-                        row[col] = row.get(col, _ZERO) + c
-                    row = {col: v for col, v in row.items() if v}
-                    if row:
-                        yield row
+
+        def terms(a: int, b: int):
+            # [e_b, u(e_a)] = sum_l u[l][a] [e_b, e_l]
+            for l, coords in ad[b].items():
+                for k, c in coords.items():
+                    yield k, l * n + a, c
+
+        return _leibniz_system(ad, n, lambda c: range(c, n * n, n), terms)
 
     def derivation_algebra(self) -> Subspace:
         """Solution space of the Leibniz system, as a subspace of the

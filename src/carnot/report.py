@@ -121,20 +121,17 @@ def build_report(label: str, algebra: LieAlgebra,
         lines.append(f"layer_dims: {fmt_ints(strat.layer_dims)}")
         lines.append(f"Q: {grading.homogeneous_dimension(strat)}")
         result = tanaka.prolong(algebra, strat, prolong_cap)
+        verdict = tanaka.rigidity_verdict(result)
         g0 = tanaka.endomorphism_span(result.frame, result.bases[0])
-        lines.append(f"g0_dim: {g0.dim}")
+        lines.append(f"g0_dim: {verdict.g0_dim}")
         for i, row in enumerate(g0.basis_rows()):
             lines.append(f"g0_basis[{i}]: {fmt_flat(row)}")
         lines.append(f"prolongation_cap: {prolong_cap}")
         lines.append(f"prolongation_dims: {fmt_ints(result.dims)}")
         lines.append("prolongation_finite: " +
                      ("true" if result.finite else "unknown"))
-        ultra = result.dims[0] == 1
-        lines.append(f"ultrarigid: {fmt_bool(ultra)}")
-        if ultra and not algebra.is_abelian() and len(result.dims) > 1:
-            lines.append(f"g1_trivial: {fmt_bool(result.dims[1] == 0)}")
-        else:
-            lines.append("g1_trivial: none")
+        lines.append(f"ultrarigid: {fmt_bool(verdict.infinitesimally_ultrarigid)}")
+        lines.append(f"g1_trivial: {fmt_bool(verdict.g1_trivial)}")
     else:
         lines.extend(["layer_dims: none", "Q: none", "g0_dim: none",
                       "prolongation_cap: none", "prolongation_dims: none",

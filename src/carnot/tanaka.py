@@ -13,6 +13,10 @@ over all pairs of homogeneous basis vectors X, Y, where the bracket of a
 nonnegative element w against a negative Y means applying w's stored
 maps: [w, Y] = w(Y), recursively through the representation.  Degree 0
 recovers exactly the layer-preserving (strata-preserving) derivations.
+The rows come from ``liealg._leibniz_system``, the one Leibniz assembler
+(its other layout is the n^2 entries of ``LieAlgebra.leibniz_rows``).
+``degree_zero_derivations`` and ``ultrarigidity_check`` read g_0 and g_1
+off :func:`prolong`; :func:`rigidity_verdict` turns a tower into a verdict.
 
 The bracket of the computed tower is a table of structure constants:
 the coordinates of [b^k_i, b^m_j] in the stored basis of g_{k+m}, for
@@ -40,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .grading import Stratification
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, _leibniz_system
 from .linalg import (
     Matrix,
     Subspace,
@@ -119,9 +123,6 @@ class AdaptedFrame:
             return self.offsets[l] - self.offsets[l - 1]
         return 0
 
-    def layer_slice(self, l: int) -> slice:
-        return slice(self.offsets[l - 1], self.offsets[l])
-
 
 @dataclass(frozen=True)
 class HomElement:
@@ -178,8 +179,7 @@ def _solve_component(frame: AdaptedFrame, k: int,
     ``bases``/``dims`` describe the previously computed components
     g_0..g_{k-1} (both empty for k = 0).
     """
-    n = frame.dim
-    s = frame.step
+    weights = frame.weights
 
     def target_dim(t: int) -> int:
         return frame.layer_dim(-t) if t < 0 else dims[t]
@@ -192,72 +192,43 @@ def _solve_component(frame: AdaptedFrame, k: int,
     if total == 0:
         return []
 
-    def unk(l: int, r: int, c: int) -> int:
-        return offsets[l - 1] + r * shapes[l - 1][1] + c
+    def cols(a: int) -> range:
+        # u(e_a) is the column of block l = weight(a) at a's position in layer l
+        l = weights[a]
+        return range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
 
     actions: dict[tuple[int, int, int], list[tuple[int, Fraction]]] = {}
 
     def action(t: int, r: int, b: int) -> list[tuple[int, Fraction]]:
-        """Nonzero home-coordinates (q, value) of [w, e_b] for w the r-th
+        """Nonzero home-coordinates (q, value) of [e_b, w] for w the r-th
         generator of the degree-t space; the result has degree
         t - weight(b)."""
         key = (t, r, b)
         if key in actions:
             return actions[key]
-        j = frame.weights[b]
+        j = weights[b]
         if t < 0:
-            home_layer = -t + j
-            if home_layer > s:
-                col = ()
-            else:
-                g = frame.offsets[-t - 1] + r
-                col = frame.graded.bracket_basis(g, b)[frame.layer_slice(home_layer)]
+            # [e_b, e_g] lies in layer j - t (the frame's table is graded),
+            # so it is zero when that layer does not exist
+            g = frame.offsets[-t - 1] + r
+            out = [(q - frame.offsets[j - t - 1], x)
+                   for q, x in frame.graded._ad[b].get(g, {}).items()]
         else:
+            # [e_b, w] = -w(e_b)
             block = bases[t][r].blocks[j - 1]
             pos = b - frame.offsets[j - 1]
-            col = [row[pos] for row in block.entries]
-        actions[key] = out = [(q, x) for q, x in enumerate(col) if x]
+            out = [(q, -row[pos]) for q, row in enumerate(block.entries) if row[pos]]
+        actions[key] = out
         return out
 
-    eqs: list[dict[int, Fraction]] = []
-    weights = frame.weights
-    for a in range(n):
-        i = weights[a]
-        pos_a = a - frame.offsets[i - 1]
-        for b in range(a + 1, n):
-            j = weights[b]
-            pos_b = b - frame.offsets[j - 1]
-            h = k - i - j
-            hd = target_dim(h) if h >= -s else 0
-            if hd == 0:
-                continue
-            rows: list[dict[int, Fraction]] = [dict() for _ in range(hd)]
-            # u([e_a, e_b]): the bracket is homogeneous of weight i+j
-            if i + j <= s:
-                z = frame.graded.bracket_basis(a, b)
-                l = i + j
-                zoff = frame.offsets[l - 1]
-                for c in range(frame.layer_dim(l)):
-                    zc = z[zoff + c]
-                    if zc:
-                        for q in range(hd):
-                            col = unk(l, q, c)
-                            rows[q][col] = rows[q].get(col, Fraction(0)) + zc
-            # -[u(e_a), e_b]
-            for r in range(target_dim(k - i)):
-                col = unk(i, r, pos_a)
-                for q, x in action(k - i, r, b):
-                    rows[q][col] = rows[q].get(col, Fraction(0)) - x
-            # +[u(e_b), e_a]  (= -[e_a, u(e_b)])
-            for r in range(target_dim(k - j)):
-                col = unk(j, r, pos_b)
-                for q, x in action(k - j, r, a):
-                    rows[q][col] = rows[q].get(col, Fraction(0)) + x
-            for row in rows:
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    eqs.append(row)
-    sol = solution_space(eqs, total)
+    def terms(a: int, b: int):
+        # [e_b, u(e_a)] = sum_r u_r(e_a) [e_b, w_r]
+        t = k - weights[a]
+        for r, col in enumerate(cols(a)):
+            for q, x in action(t, r, b):
+                yield q, col, x
+
+    sol = solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total)
     return [_element_from_flat(k, shapes, flat) for flat in sol.basis_rows()]
 
 
@@ -292,13 +263,6 @@ def grading_element(frame: AdaptedFrame) -> HomElement:
         d = frame.layer_dim(l)
         blocks.append(Matrix.identity(d).scaled(l))
     return HomElement(0, tuple(blocks))
-
-
-def degree_zero_derivations(L: LieAlgebra, s: Stratification) -> Subspace:
-    """The strata-preserving derivations, as a subspace of the
-    n^2-dimensional endomorphism space in the original basis."""
-    frame = AdaptedFrame.build(L, s)
-    return endomorphism_span(frame, _solve_component(frame, 0, [], []))
 
 
 def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Subspace:
@@ -486,6 +450,13 @@ def prolong(L: LieAlgebra, s: Stratification, k_max: int = 6) -> ProlongationRes
     return ProlongationResult(tuple(dims), None, tuple(bases), frame)
 
 
+def degree_zero_derivations(L: LieAlgebra, s: Stratification) -> Subspace:
+    """The strata-preserving derivations, g_0 of :func:`prolong`, in the
+    n^2-dimensional endomorphism space of the original basis."""
+    result = prolong(L, s, 0)
+    return endomorphism_span(result.frame, result.bases[0])
+
+
 @dataclass(frozen=True)
 class RigidityVerdict:
     """Infinitesimal rigidity report.
@@ -503,13 +474,18 @@ class RigidityVerdict:
     g1_trivial: Optional[bool]
 
 
+def rigidity_verdict(result: ProlongationResult) -> RigidityVerdict:
+    """The verdict read off a computed tower: ultrarigid when g_0 is
+    one-dimensional, and ``g1_trivial`` from g_1 when the algebra is
+    nonabelian, g_0 is one-dimensional and g_1 was computed."""
+    dims = result.dims
+    ultra = dims[0] == 1
+    g1_trivial = None
+    if ultra and not result.frame.algebra.is_abelian() and len(dims) > 1:
+        g1_trivial = dims[1] == 0
+    return RigidityVerdict(dims[0], ultra, g1_trivial)
+
+
 def ultrarigidity_check(L: LieAlgebra, s: Stratification) -> RigidityVerdict:
-    frame = AdaptedFrame.build(L, s)
-    comps0 = _solve_component(frame, 0, [], [])
-    g0_dim = len(comps0)
-    ultra = g0_dim == 1
-    lemma: Optional[bool] = None
-    if ultra and not L.is_abelian():
-        comps1 = _solve_component(frame, 1, [tuple(comps0)], [g0_dim])
-        lemma = len(comps1) == 0
-    return RigidityVerdict(g0_dim, ultra, lemma)
+    """:func:`rigidity_verdict` of the tower up to g_1."""
+    return rigidity_verdict(prolong(L, s, 1))

@@ -11,7 +11,8 @@ from carnot.grading import (
     verify_stratification,
 )
 from carnot.liealg import LieAlgebra
-from carnot.linalg import Matrix, Subspace, as_vec, is_zero_vec, nullspace, solve_affine_rows, unit_vec
+from carnot.linalg import (Matrix, Subspace, as_vec, is_zero_vec, nullspace, solve_affine_rows,
+                           unit_vec, vec_add)
 
 
 class NotDerivationError(ValueError):
@@ -25,6 +26,24 @@ def ad_matrix(L: LieAlgebra, x) -> Matrix:
         raise ValueError(f"vector must have length {L.dim}")
     cols = [L.bracket(xx, unit_vec(L.dim, j)) for j in range(L.dim)]
     return Matrix.from_rows(cols, L.dim).transpose()
+
+
+def reference_is_derivation(L: LieAlgebra, u: Matrix) -> bool:
+    """The dense Leibniz check ``LieAlgebra.is_derivation`` used before it
+    evaluated the sparse Leibniz rows: u[e_i, e_j] = [u e_i, e_j] + [e_i, u e_j]
+    compared as dense vectors on every basis pair."""
+    if u.rows != L.dim or u.cols != L.dim:
+        raise ValueError("endomorphism shape mismatch")
+    n = L.dim
+    for i in range(n):
+        ui = u.col(i)
+        for j in range(i + 1, n):
+            lhs = u.apply(L.bracket_basis(i, j))
+            rhs = vec_add(L.bracket(ui, unit_vec(n, j)),
+                          L.bracket(unit_vec(n, i), u.col(j)))
+            if lhs != rhs:
+                return False
+    return True
 
 
 def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:

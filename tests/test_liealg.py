@@ -9,9 +9,10 @@ from carnot.liealg import (
     NotLieAlgebraError,
     SingularMatrixError,
 )
-from carnot.linalg import Matrix, Subspace, is_zero_vec, unit_vec, vec_add, zero_vec
+from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, unit_vec, vec_add, zero_vec
 
-from helpers import NotDerivationError, ad_matrix, semidirect_with_derivation
+from helpers import (NotDerivationError, ad_matrix, reference_is_derivation,
+                     semidirect_with_derivation)
 
 F = Fraction
 
@@ -308,6 +309,47 @@ def test_is_derivation(example1):
     for _ in range(5):
         x = [rng.randint(-2, 2) for _ in range(16)]
         assert example1.is_derivation(ad_matrix(example1, x))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_is_derivation_matches_dense_reference(seed):
+    # u ranges over combinations of the solution space of the reference
+    # Leibniz rows (so Lie and non-Lie tables alike), and the same u with
+    # one entry changed
+    rng = random.Random(2000 + seed)
+    verdicts = set()
+    lie = broken = 0
+    for _ in range(30):
+        L = _random_table(rng)
+        n = L.dim
+        if L.jacobi_defect():
+            broken += 1
+        else:
+            lie += 1
+        der = solution_space(ref_leibniz_rows(L), n * n).basis_rows()
+        for _ in range(2):
+            flat = [F(0)] * (n * n)
+            for d in der:
+                c = _random_coeff(rng)
+                flat = [x + c * y for x, y in zip(flat, d)]
+            changed = list(flat)
+            changed[rng.randrange(n * n)] += _random_coeff(rng) or F(1)
+            for entries in (flat, changed):
+                u = Matrix.from_flat(entries, n, n)
+                verdict = L.is_derivation(u)
+                assert verdict == reference_is_derivation(L, u), (L.table, entries)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert lie >= 3 and broken >= 3
+
+
+def test_is_derivation_rejects_wrong_shapes():
+    h3 = heisenberg3()
+    for u in (Matrix.zeros(3, 2), Matrix.zeros(2, 3), Matrix.identity(4)):
+        with pytest.raises(ValueError):
+            h3.is_derivation(u)
+        with pytest.raises(ValueError):
+            reference_is_derivation(h3, u)
 
 
 def test_derivation_algebra_abelian():

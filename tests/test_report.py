@@ -58,8 +58,10 @@ def test_build_report_non_nilpotent():
     assert "g0_dim: none" in text
 
 
-def test_build_report_builds_one_frame_and_solves_g0_once(monkeypatch):
-    calls = {"frame": 0, "g0": 0}
+def _count_frames_and_degrees(monkeypatch):
+    """Record each AdaptedFrame.build call and the degree of each
+    _solve_component call."""
+    calls = {"frame": 0, "degrees": []}
     build, solve = tanaka.AdaptedFrame.build, tanaka._solve_component
 
     def counting_build(*args):
@@ -67,15 +69,20 @@ def test_build_report_builds_one_frame_and_solves_g0_once(monkeypatch):
         return build(*args)
 
     def counting_solve(frame, k, *args):
-        calls["g0"] += k == 0
+        calls["degrees"].append(k)
         return solve(frame, k, *args)
 
     monkeypatch.setattr(tanaka.AdaptedFrame, "build", staticmethod(counting_build))
     monkeypatch.setattr(tanaka, "_solve_component", counting_solve)
+    return calls
+
+
+def test_build_report_builds_one_frame_and_solves_g0_once(monkeypatch):
+    calls = _count_frames_and_degrees(monkeypatch)
     entry = catalog.get("example1_16")
     text, ok = report.build_report("example1_16", entry.algebra, entry.declared_layers)
     assert ok
-    assert calls == {"frame": 1, "g0": 1}
+    assert calls["frame"] == 1 and calls["degrees"].count(0) == 1
     monkeypatch.undo()
 
     s = verify_stratification(entry.algebra,
@@ -86,6 +93,36 @@ def test_build_report_builds_one_frame_and_solves_g0_once(monkeypatch):
     assert f"g0_dim: {len(rows)}" in text.splitlines()
 
 
+def test_ultrarigidity_check_builds_one_frame_and_solves_g0_and_g1(monkeypatch):
+    calls = _count_frames_and_degrees(monkeypatch)
+    entry = catalog.get("example1_16")
+    s = verify_stratification(entry.algebra,
+                              coordinate_layers(entry.algebra.dim, entry.declared_layers))
+    verdict = tanaka.ultrarigidity_check(entry.algebra, s)
+    assert calls == {"frame": 1, "degrees": [0, 1]}
+    assert (verdict.g0_dim, verdict.infinitesimally_ultrarigid, verdict.g1_trivial) == (1, True, True)
+
+
+def _verdict_lines(out):
+    keys = ("g0_dim:", "ultrarigid:", "g1_trivial:")
+    return [line for line in out.splitlines() if line.startswith(keys)]
+
+
+def test_rigid_and_report_share_one_verdict(capsys):
+    compared = 0
+    for name, _ in catalog.list_entries():
+        main(["report", name])
+        report_lines = _verdict_lines(capsys.readouterr().out)
+        if "g0_dim: none" in report_lines:
+            continue
+        main(["rigid", name])
+        assert _verdict_lines(capsys.readouterr().out) == report_lines, name
+        compared += 1
+    assert compared == 7  # every entry but deformed_h_16
+    main(["rigid", "abelian(2)"])
+    assert "g1_trivial: none" in capsys.readouterr().out.splitlines()
+
+
 def test_report_max_zero_keeps_g0_lines(capsys):
     assert main(["report", "heisenberg_3", "--max", "0"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -93,3 +130,4 @@ def test_report_max_zero_keeps_g0_lines(capsys):
     assert sum(line.startswith("g0_basis[") for line in out) == 4
     assert "prolongation_cap: 0" in out
     assert "prolongation_dims: 4" in out
+    assert "g1_trivial: none" in out
