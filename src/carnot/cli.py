@@ -57,24 +57,6 @@ def _require_lie(algebra: LieAlgebra) -> None:
         raise CliError(str(e), 1) from None
 
 
-def _require_stratification(algebra: LieAlgebra,
-                            ranges: Optional[Sequence[tuple[int, int]]]) -> grading.Stratification:
-    _require_lie(algebra)
-    if ranges:
-        try:
-            return grading.verify_stratification(
-                algebra, grading.coordinate_layers(algebra.dim, ranges))
-        except grading.StratificationError as e:
-            raise CliError(f"declared layers are not a stratification: {e}", 1) from None
-    try:
-        verdict = grading.is_stratifiable(algebra)
-    except grading.NotNilpotentError as e:
-        raise CliError(str(e), 1) from None
-    if verdict.derived_stratification is None:
-        raise CliError("the algebra admits no stratification", 1)
-    return verdict.derived_stratification
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
@@ -122,41 +104,36 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _cmd_g0(args) -> int:
+def _print_report_keys(args, cap: int, keys: tuple[str, ...]) -> report.Analysis:
+    """Print the ``source`` line and the report lines with the given keys
+    (``g0_basis`` names every ``g0_basis[i]``)."""
     label, algebra, ranges = _resolve(args.source)
-    strat = _require_stratification(algebra, ranges)
-    g0 = tanaka.degree_zero_derivations(algebra, strat)
-    print(f"source: {label}")
-    print(f"g0_dim: {g0.dim}")
-    for i, row in enumerate(g0.basis_rows()):
-        print(f"g0_basis[{i}]: {report.fmt_flat(row)}")
+    a = report.analyze(algebra, ranges, cap)
+    if a.tower is None:
+        raise CliError(a.problem, 1)
+    for line in report.report_lines(label, algebra, a):
+        if line.partition(":")[0].partition("[")[0] in ("source",) + keys:
+            print(line)
+    return a
+
+
+def _cmd_g0(args) -> int:
+    _print_report_keys(args, 0, ("g0_dim", "g0_basis"))
     return 0
 
 
 def _cmd_prolong(args) -> int:
     _require_nonnegative("--max", args.max)
-    label, algebra, ranges = _resolve(args.source)
-    strat = _require_stratification(algebra, ranges)
-    result = tanaka.prolong(algebra, strat, args.max)
-    print(f"source: {label}")
-    print(f"prolongation_cap: {args.max}")
-    print(f"prolongation_dims: {report.fmt_ints(result.dims)}")
-    print("prolongation_finite: " + ("true" if result.finite else "unknown"))
+    _print_report_keys(args, args.max,
+                       ("prolongation_cap", "prolongation_dims", "prolongation_finite"))
     return 0
 
 
 def _cmd_rigid(args) -> int:
-    label, algebra, ranges = _resolve(args.source)
-    strat = _require_stratification(algebra, ranges)
-    verdict = tanaka.ultrarigidity_check(algebra, strat)
-    print(f"source: {label}")
-    print(f"g0_dim: {verdict.g0_dim}")
-    print(f"ultrarigid: {report.fmt_bool(verdict.infinitesimally_ultrarigid)}")
-    print(f"g1_trivial: {report.fmt_bool(verdict.g1_trivial)}")
-    if args.expect is not None:
-        want = args.expect == "ultrarigid"
-        return 0 if verdict.infinitesimally_ultrarigid == want else 1
-    return 0 if verdict.infinitesimally_ultrarigid else 1
+    a = _print_report_keys(args, 1, ("g0_dim", "ultrarigid", "g1_trivial"))
+    ultrarigid = tanaka.rigidity_verdict(a.tower).infinitesimally_ultrarigid
+    want = args.expect is None or args.expect == "ultrarigid"
+    return 0 if ultrarigid == want else 1
 
 
 def _cmd_stratifiable(args) -> int:
@@ -188,11 +165,7 @@ def _cmd_gr(args) -> int:
         result = grading.nilpotentisation(algebra, horizontal)
     except (grading.NotBracketGeneratingError, grading.StratificationError) as e:
         raise CliError(str(e), 1) from None
-    ranges = []
-    start = 1
-    for d in result.stratification.layer_dims:
-        ranges.append((start, start + d - 1))
-        start += d
+    ranges = grading.consecutive_ranges(result.stratification.layer_dims)
     sys.stdout.write(algfile.emit(result.algebra, ranges))
     return 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .liealg import LieAlgebra
@@ -145,6 +146,11 @@ def verify_stratification(L: LieAlgebra, layers: Sequence[Subspace]) -> Stratifi
     return Stratification(tuple(layers))
 
 
+def consecutive_ranges(dims: Sequence[int]) -> list[tuple[int, int]]:
+    """1-based inclusive index ranges of consecutive blocks of sizes ``dims``."""
+    return [(end - d + 1, end) for d, end in zip(dims, accumulate(dims))]
+
+
 def coordinate_layers(n: int, ranges: Sequence[tuple[int, int]]) -> list[Subspace]:
     """Layers spanned by basis vectors, from 1-based inclusive index ranges."""
     out = []
@@ -250,20 +256,9 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
         if graded:
             brackets[(a, b)] = tuple(graded.get(k, Fraction(0)) for k in range(n))
     gr = LieAlgebra.from_brackets(n, brackets).validated()
-    ranges = []
-    start = 1
-    for term_dim in _level_dims(filt):
-        ranges.append((start, start + term_dim - 1))
-        start += term_dim
+    ranges = consecutive_ranges([weights.count(w) for w in range(1, s + 1)])
     strat = verify_stratification(gr, coordinate_layers(n, ranges))
     return GrResult(gr, adapted, strat)
-
-
-def _level_dims(filt: Filtration) -> list[int]:
-    dims = [filt.terms[0].dim]
-    for prev, cur in zip(filt.terms, filt.terms[1:]):
-        dims.append(cur.dim - prev.dim)
-    return dims
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,20 @@
 One flat ``key: value`` document with a fixed key order; all rationals
 render as ``p`` or ``p/q`` and every value is derived from canonical
 (RREF) data, so two runs on the same input are byte-identical.
+
+:func:`analyze` is the one place a stratification is chosen and the
+tower computed; :func:`report_lines` renders each key once, and the
+``g0``, ``prolong`` and ``rigid`` commands print their keys of it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import grading, tanaka
-from .liealg import LieAlgebra
-from .linalg import Subspace, Vec
+from .liealg import JacobiDefect, LieAlgebra, NotLieAlgebraError, SeriesReport
+from .linalg import Vec
 
 DEFAULT_PROLONG_CAP = 4
 
@@ -50,18 +54,10 @@ def fmt_flat(vec: Vec) -> str:
 def _coordinate_ranges(s: grading.Stratification) -> Optional[list[tuple[int, int]]]:
     """Index ranges when every layer is a span of consecutive basis
     vectors (as for the catalog gradings); None otherwise."""
-    start = 1
-    out = []
-    for v in s.layers:
-        hi = start + v.dim - 1
-        expected = Subspace.from_rows(
-            [tuple(Fraction(1 if k == i else 0) for k in range(v.ambient_dim))
-             for i in range(start - 1, hi)], v.ambient_dim)
-        if v != expected:
-            return None
-        out.append((start, hi))
-        start = hi + 1
-    return out
+    ranges = grading.consecutive_ranges(s.layer_dims)
+    if list(s.layers) != grading.coordinate_layers(s.ambient_dim, ranges):
+        return None
+    return ranges
 
 
 def fmt_layers(s: grading.Stratification) -> str:
@@ -74,67 +70,101 @@ def fmt_layers(s: grading.Stratification) -> str:
     return " | ".join(rendered)
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Everything a report says about one algebra.
+
+    ``stratifiable`` and ``layers`` are the rendered report values.
+    ``tower`` is the prolongation up to ``cap`` over ``stratification``;
+    both are None exactly when ``problem`` says why there is no
+    stratification."""
+
+    defects: tuple[JacobiDefect, ...]
+    series: Optional[SeriesReport]
+    stratifiable: str
+    layers: str
+    stratification: Optional[grading.Stratification]
+    tower: Optional[tanaka.ProlongationResult]
+    cap: int
+    problem: Optional[str]
+
+
+def analyze(algebra: LieAlgebra, layer_ranges: Optional[Sequence[tuple[int, int]]],
+            cap: int) -> Analysis:
+    """Check Jacobi, then choose the stratification and prolong over it.
+
+    Declared layers are used when they are a stratification; otherwise
+    the one derived by :func:`grading.is_stratifiable` is used, unless
+    layers were declared: an invalid declaration is reported, never
+    replaced."""
+    defects = tuple(algebra.jacobi_defect())
+    if defects:
+        try:
+            algebra.validated()
+        except NotLieAlgebraError as e:
+            return Analysis(defects, None, "none", "none", None, None, cap, str(e))
+    series = algebra.lower_central_series()
+    strat: Optional[grading.Stratification] = None
+    problem: Optional[str] = None
+    stratifiable = layers = "none"
+    if layer_ranges:
+        try:
+            strat = grading.verify_stratification(
+                algebra, grading.coordinate_layers(algebra.dim, layer_ranges))
+            layers = fmt_ranges(layer_ranges)
+        except grading.StratificationError as e:
+            layers = f"invalid ({type(e).__name__})"
+            problem = f"declared layers are not a stratification: {e}"
+    if strat is not None:
+        stratifiable = "true"
+    else:
+        try:
+            verdict = grading.is_stratifiable(algebra)
+        except grading.NotNilpotentError as e:
+            problem = problem or str(e)
+        else:
+            stratifiable = fmt_bool(verdict.stratifiable)
+            if problem is None:
+                strat = verdict.derived_stratification
+                if strat is None:
+                    problem = "the algebra admits no stratification"
+                else:
+                    layers = fmt_layers(strat)
+    tower = None if strat is None else tanaka.prolong(algebra, strat, cap)
+    return Analysis(defects, series, stratifiable, layers, strat, tower, cap, problem)
+
+
+def report_lines(label: str, algebra: LieAlgebra, a: Analysis) -> list[str]:
+    """The report of :func:`analyze`'s result, one ``key: value`` line each."""
+    series = a.series
+    lines = [f"source: {label}",
+             f"dim: {algebra.dim}",
+             f"brackets: {algebra.bracket_count()}",
+             f"jacobi: {len(a.defects)} violations" if a.defects else "jacobi: ok",
+             f"nilpotent: {fmt_bool(series.nilpotent if series else None)}",
+             f"step: {series.step if series and series.nilpotent else 'none'}",
+             f"series_dims: {fmt_ints(series.dims) if series else 'none'}",
+             f"stratifiable: {a.stratifiable}",
+             f"layers: {a.layers}"]
+    strat, tower = a.stratification, a.tower
+    verdict = tanaka.rigidity_verdict(tower) if tower else None
+    g0 = tanaka.endomorphism_span(tower.frame, tower.bases[0]).basis_rows() if tower else ()
+    finite = ("true" if tower.finite else "unknown") if tower else "none"
+    return lines + [
+        f"layer_dims: {fmt_ints(strat.layer_dims if strat else None)}",
+        f"Q: {grading.homogeneous_dimension(strat) if strat else 'none'}",
+        f"g0_dim: {verdict.g0_dim if verdict else 'none'}",
+        *(f"g0_basis[{i}]: {fmt_flat(row)}" for i, row in enumerate(g0)),
+        f"prolongation_cap: {a.cap if tower else 'none'}",
+        f"prolongation_dims: {fmt_ints(tower.dims if tower else None)}",
+        f"prolongation_finite: {finite}",
+        f"ultrarigid: {fmt_bool(verdict.infinitesimally_ultrarigid if verdict else None)}",
+        f"g1_trivial: {fmt_bool(verdict.g1_trivial if verdict else None)}"]
+
+
 def build_report(label: str, algebra: LieAlgebra,
                  layer_ranges: Optional[Sequence[tuple[int, int]]],
                  prolong_cap: int = DEFAULT_PROLONG_CAP) -> tuple[str, bool]:
     """The full report text and whether the table passed the Jacobi check."""
-    lines = [f"source: {label}",
-             f"dim: {algebra.dim}",
-             f"brackets: {algebra.bracket_count()}"]
-    defects = algebra.jacobi_defect()
-    jacobi_ok = not defects
-    lines.append("jacobi: ok" if jacobi_ok else f"jacobi: {len(defects)} violations")
-
-    series = None
-    strat: Optional[grading.Stratification] = None
-    layers_value = "none"
-    stratifiable_value = "none"
-    if jacobi_ok:
-        series = algebra.lower_central_series()
-        declared_invalid = False
-        if layer_ranges:
-            try:
-                strat = grading.verify_stratification(
-                    algebra, grading.coordinate_layers(algebra.dim, layer_ranges))
-                layers_value = fmt_ranges(layer_ranges)
-            except grading.StratificationError as e:
-                declared_invalid = True
-                layers_value = f"invalid ({type(e).__name__})"
-        if series.nilpotent:
-            if strat is not None:
-                stratifiable_value = "true"
-            else:
-                verdict = grading.is_stratifiable(algebra)
-                stratifiable_value = fmt_bool(verdict.stratifiable)
-                # a bad declared grading is reported, not silently replaced
-                if not declared_invalid and verdict.derived_stratification is not None:
-                    strat = verdict.derived_stratification
-                    layers_value = fmt_layers(strat)
-
-    lines.append(f"nilpotent: {fmt_bool(series.nilpotent if series else None)}")
-    lines.append(f"step: {series.step if series and series.nilpotent else 'none'}")
-    lines.append(f"series_dims: {fmt_ints(series.dims) if series else 'none'}")
-    lines.append(f"stratifiable: {stratifiable_value}")
-    lines.append(f"layers: {layers_value}")
-
-    if strat is not None:
-        lines.append(f"layer_dims: {fmt_ints(strat.layer_dims)}")
-        lines.append(f"Q: {grading.homogeneous_dimension(strat)}")
-        result = tanaka.prolong(algebra, strat, prolong_cap)
-        verdict = tanaka.rigidity_verdict(result)
-        g0 = tanaka.endomorphism_span(result.frame, result.bases[0])
-        lines.append(f"g0_dim: {verdict.g0_dim}")
-        for i, row in enumerate(g0.basis_rows()):
-            lines.append(f"g0_basis[{i}]: {fmt_flat(row)}")
-        lines.append(f"prolongation_cap: {prolong_cap}")
-        lines.append(f"prolongation_dims: {fmt_ints(result.dims)}")
-        lines.append("prolongation_finite: " +
-                     ("true" if result.finite else "unknown"))
-        lines.append(f"ultrarigid: {fmt_bool(verdict.infinitesimally_ultrarigid)}")
-        lines.append(f"g1_trivial: {fmt_bool(verdict.g1_trivial)}")
-    else:
-        lines.extend(["layer_dims: none", "Q: none", "g0_dim: none",
-                      "prolongation_cap: none", "prolongation_dims: none",
-                      "prolongation_finite: none", "ultrarigid: none",
-                      "g1_trivial: none"])
-    return "\n".join(lines) + "\n", jacobi_ok
+    a = analyze(algebra, layer_ranges, prolong_cap)
+    return "\n".join(report_lines(label, algebra, a)) + "\n", not a.defects

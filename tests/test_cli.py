@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from carnot.cli import main
 
 
@@ -183,6 +185,30 @@ def test_report_keeps_invalid_declared_layers_diagnostic(capsys, tmp_path):
     assert "layers: invalid (LayerGenerationError)" in out
     assert "stratifiable: true" in out
     assert "g0_dim: none" in out
+
+
+_BAD_LAYERS = ("declared layers are not a stratification: "
+               "[V_1, V_1] != V_2: generated dim 0, expected dim {}")
+_NO_STRATIFICATION = "the algebra admits no stratification"
+
+
+@pytest.mark.parametrize("command", ["g0", "prolong", "rigid"])
+@pytest.mark.parametrize("source, message", [
+    ("dim 3\nbracket 1 2 = 3\nbracket 1 3 = 1\n", "Jacobi identity fails at triples (1,2,3)"),
+    ("dim 2\nbracket 1 2 = 2\n", "only nilpotent algebras can be stratified"),
+    ("dim 2\nlayers 1..1; 2..2\nbracket 1 2 = 2\n", _BAD_LAYERS.format(1)),
+    ("dim 3\nlayers 1..1; 2..3\nbracket 1 2 = 3\n", _BAD_LAYERS.format(2)),
+    ("abelian(1)", _NO_STRATIFICATION),
+    ("dim 1\n", _NO_STRATIFICATION),
+], ids=["jacobi", "not-nilpotent", "not-nilpotent-declared", "h3-bad-layers",
+        "abelian1", "dim1-file"])
+def test_stratification_problems_exit_1(capsys, tmp_path, command, source, message):
+    # the declared-layers message wins over the nilpotency one
+    if source.startswith("dim"):
+        f = tmp_path / "input.alg"
+        f.write_text(source, encoding="utf-8")
+        source = str(f)
+    assert run_cli(capsys, command, source) == (1, "", f"carnot: {message}\n")
 
 
 def test_g0_derives_stratification_when_none_declared(capsys, tmp_path):

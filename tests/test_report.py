@@ -103,22 +103,33 @@ def test_ultrarigidity_check_builds_one_frame_and_solves_g0_and_g1(monkeypatch):
     assert (verdict.g0_dim, verdict.infinitesimally_ultrarigid, verdict.g1_trivial) == (1, True, True)
 
 
-def _verdict_lines(out):
-    keys = ("g0_dim:", "ultrarigid:", "g1_trivial:")
+def _lines_with(out, keys):
     return [line for line in out.splitlines() if line.startswith(keys)]
 
 
+# (command, the report options giving the same cap, the keys it prints)
+_REPORT_SLICES = (
+    (["rigid"], [], ("g0_dim:", "ultrarigid:", "g1_trivial:")),
+    (["g0"], ["--max", "0"], ("g0_dim:", "g0_basis[")),
+    (["prolong", "--max", "2"], ["--max", "2"], ("prolongation_",)),
+)
+
+
 def test_rigid_and_report_share_one_verdict(capsys):
-    compared = 0
-    for name, _ in catalog.list_entries():
-        main(["report", name])
-        report_lines = _verdict_lines(capsys.readouterr().out)
-        if "g0_dim: none" in report_lines:
-            continue
-        main(["rigid", name])
-        assert _verdict_lines(capsys.readouterr().out) == report_lines, name
-        compared += 1
-    assert compared == 7  # every entry but deformed_h_16
+    # rigid, g0 and prolong print exactly their keys of the report
+    for command, report_options, keys in _REPORT_SLICES:
+        compared = 0
+        for name, _ in catalog.list_entries():
+            main(["report", name, *report_options])
+            report_out = capsys.readouterr().out
+            if "g0_dim: none" in report_out.splitlines():
+                continue
+            assert main([command[0], name, *command[1:]]) in (0, 1)
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == f"source: catalog:{name}"
+            assert out[1:] == _lines_with(report_out, keys), (command, name)
+            compared += 1
+        assert compared == 7  # every entry but deformed_h_16
     main(["rigid", "abelian(2)"])
     assert "g1_trivial: none" in capsys.readouterr().out.splitlines()
 
