@@ -25,6 +25,7 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
+    _dense_vec,
     _sparse_cols,
     as_vec,
     invert,
@@ -142,15 +143,9 @@ class LieAlgebra:
                 ad[j][i] = {k: -c for k, c in coords.items()}
         return ad
 
-    def _dense(self, coords: Mapping[int, Fraction]) -> Vec:
-        out = [_ZERO] * self.dim
-        for k, c in coords.items():
-            out[k] = c
-        return tuple(out)
-
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[e_i, e_j] for basis indices, any order."""
-        return self._dense(self._ad[i].get(j, {}))
+        return _dense_vec(self._ad[i].get(j, {}).items(), self.dim)
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
         """Bilinear antisymmetric extension of the table."""
@@ -166,7 +161,7 @@ class LieAlgebra:
                         c = a * b
                         for k, v in coords.items():
                             acc[k] = acc.get(k, _ZERO) + c * v
-        return self._dense(acc)
+        return _dense_vec(acc.items(), self.dim)
 
     def _triple_term(self, x: int, y: int, z: int, acc: dict[int, Fraction]) -> None:
         """acc += [[e_x, e_y], e_z]."""
@@ -196,7 +191,7 @@ class LieAlgebra:
             self._triple_term(j, k, i, acc)
             self._triple_term(k, i, j, acc)
             if any(acc.values()):
-                out.append((i, j, k, self._dense(acc)))
+                out.append((i, j, k, _dense_vec(acc.items(), self.dim)))
         return tuple(out)
 
     def jacobi_defect(self) -> list[JacobiDefect]:
@@ -306,7 +301,7 @@ class LieAlgebra:
     def _changed_basis(self, p: Matrix, p_inv: Matrix) -> "LieAlgebra":
         """:meth:`change_of_basis` for a caller that already holds
         ``p_inv``, the inverse of ``p``."""
-        brackets = {ij: self._dense(w) for ij, w in self._transported(p, p_inv)}
+        brackets = {ij: _dense_vec(w.items(), self.dim) for ij, w in self._transported(p, p_inv)}
         return LieAlgebra.from_brackets(self.dim, brackets, self.labels)
 
     def _transported(self, p: Matrix, p_inv: Matrix):

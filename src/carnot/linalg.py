@@ -105,9 +105,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
 
@@ -152,9 +149,6 @@ class Matrix:
             raise ValueError("flat length mismatch")
         return Matrix(rows, cols, tuple(vv[i * cols:(i + 1) * cols] for i in range(rows)))
 
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(row) for row in self.entries)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
@@ -168,12 +162,16 @@ class RowReducer:
     in plain Python integers.  Feeding rows one at a time keeps large
     structured systems (a few thousand sparse equations) fast: a row is
     only combined with the pivot rows its support actually touches.
+
+    With ``reverse`` a row's lead is its highest column, not its lowest;
+    :meth:`sparse_nullspace` is then the canonical RREF solution basis.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, reverse: bool = False):
         if width < 0:
             raise ValueError("width must be nonnegative")
         self.width = width
+        self._lead = max if reverse else min
         self._pivots: dict[int, dict[int, int]] = {}
 
     @property
@@ -181,26 +179,27 @@ class RowReducer:
         return len(self._pivots)
 
     def _to_sparse_int(self, row) -> dict[int, int]:
+        """The nonzero entries of a row, coerced once and scaled to integers."""
         pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
-        # test again after coercion: the string "0" is truthy
-        items = [(c, x) for c, v in pairs if v and (x := rat(v))]
-        for c, _ in items:
-            if not (0 <= c < self.width):
-                raise ValueError(f"column {c} out of range 0..{self.width - 1}")
-        if not items:
-            return {}
+        width = self.width
+        items = {}
         denom_lcm = 1
-        for _, v in items:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        out = {c: int(v * denom_lcm) for c, v in items}
-        return _reduce_content(out)
+        for c, v in pairs:
+            # test again after coercion: the string "0" is truthy
+            if v and (x := rat(v)):
+                if not 0 <= c < width:
+                    raise ValueError(f"column {c} out of range 0..{width - 1}")
+                items[c] = x
+                denom_lcm = math.lcm(denom_lcm, x.denominator)
+        return _reduce_content({c: v.numerator * (denom_lcm // v.denominator)
+                                for c, v in items.items()})
 
     def add(self, row) -> bool:
         """Reduce ``row`` against the current pivots; returns True if it
         increased the rank (i.e. was independent)."""
         cur = self._to_sparse_int(row)
         while cur:
-            lead = min(cur)
+            lead = self._lead(cur)
             piv = self._pivots.get(lead)
             if piv is None:
                 if cur[lead] < 0:
@@ -213,13 +212,14 @@ class RowReducer:
     def _reduced_rows(self) -> dict[int, dict[int, int]]:
         """The pivot rows back-substituted: row ``p`` keeps its positive
         lead at ``p`` and is zero in every other pivot column, so it is the
-        canonical RREF row up to the integer factor ``row[p]``.
+        reduced echelon row up to the integer factor ``row[p]``.
 
-        Rows are reduced from the highest pivot down; each then meets only
-        already reduced rows, so one elimination per pivot column in its
-        support suffices (no new pivot columns are introduced)."""
+        Rows are reduced from the last pivot in lead order back to the
+        first; each then meets only already reduced rows, so one
+        elimination per pivot column in its support suffices (no new pivot
+        columns are introduced)."""
         out: dict[int, dict[int, int]] = {}
-        for p in sorted(self._pivots, reverse=True):
+        for p in sorted(self._pivots, reverse=self._lead is min):
             row = self._pivots[p]
             for c in [c for c in row if c != p and c in out]:
                 row = _eliminate(row, out[c], c, keep_lead=p)
@@ -230,41 +230,26 @@ class RowReducer:
         """The canonical RREF rows (pivot 1, zeros above and below pivots),
         sorted by pivot column."""
         rows = self._reduced_rows()
-        out: list[Vec] = []
-        for c in sorted(rows):
-            r = rows[c]
-            lead = r[c]
-            dense = [_ZERO] * self.width
-            for col, v in r.items():
-                dense[col] = Fraction(v, lead)
-            out.append(tuple(dense))
-        return out
+        return [_dense_vec(((col, Fraction(v, r[c])) for col, v in r.items()), self.width)
+                for c, r in sorted(rows.items())]
 
-    def nullspace_rows(self) -> list[Vec]:
-        """A basis of the solution space of (rows)·x = 0, one vector per
-        free column ``f`` in ascending order: 1 at ``f``, ``-r_p[f] / r_p[p]``
-        at each pivot ``p`` and zero at every other free column.
-
-        The vectors are read off the sparse reduced rows.  They are in
-        canonical RREF order only when the free columns come last, which
-        :func:`solution_space` arranges by relabelling columns.
-        """
-        width = self.width
-        solutions: dict[int, list[tuple[int, Fraction]]] = {
-            f: [] for f in range(width) if f not in self._pivots}
+    def sparse_nullspace(self) -> list[dict[int, Fraction]]:
+        """A basis of the solution space of (rows)·x = 0, read off the
+        sparse reduced rows: one ``{column: value}`` per free column ``f``
+        in ascending order, 1 at ``f`` and ``-r_p[f] / r_p[p]`` at each
+        pivot ``p``.  In a ``reverse`` reducer every such ``p`` exceeds
+        ``f``, so the vectors are the canonical RREF basis."""
+        solutions = {f: {f: _ONE} for f in range(self.width) if f not in self._pivots}
         for p, r in self._reduced_rows().items():
             lead = r[p]
             for c, v in r.items():
                 if c != p:
-                    solutions[c].append((p, Fraction(-v, lead)))
-        out = []
-        for f, entries in solutions.items():
-            dense = [_ZERO] * width
-            dense[f] = _ONE
-            for p, x in entries:
-                dense[p] = x
-            out.append(tuple(dense))
-        return out
+                    solutions[c][p] = Fraction(-v, lead)
+        return list(solutions.values())
+
+    def nullspace_rows(self) -> list[Vec]:
+        """:meth:`sparse_nullspace` as dense vectors."""
+        return [_dense_vec(sol.items(), self.width) for sol in self.sparse_nullspace()]
 
 
 def _reduce_content(row: dict[int, int]) -> dict[int, int]:
@@ -423,6 +408,14 @@ class Subspace:
         return out
 
 
+def _dense_vec(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vec:
+    """The vector of length ``width`` with the given (index, value) entries."""
+    out = [_ZERO] * width
+    for i, x in pairs:
+        out[i] = x
+    return tuple(out)
+
+
 def _sparse_cols(m: Matrix) -> list[dict[int, Fraction]]:
     """The nonzero entries of each column of ``m``, as ``{row: value}``."""
     cols: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
@@ -444,24 +437,17 @@ def solution_space(rows: Iterable, width: int) -> Subspace:
     """The exact solution space {x : row·x = 0 for every row}, in canonical
     form, for dense rows of length ``width`` or sparse column mappings.
 
-    The rows are eliminated with columns relabelled ``c -> width-1-c``.
-    In that order every free column lies after the pivots its solution
-    touches, so once reversed back the free-column solutions of
+    The rows are eliminated by a ``reverse`` :class:`RowReducer`, whose
+    leads are highest columns.  Every free column then lies before the
+    pivots its solution touches, so the free-column solutions of
     :meth:`RowReducer.nullspace_rows` have a leading 1 in their own free
     column and zeros in every other one: they already are the canonical
     RREF basis (which is unique), and no second reduction is needed.
     """
-    red = RowReducer(width)
-    last = width - 1
+    red = RowReducer(width, reverse=True)
     for row in rows:
-        flipped = {}
-        for c, v in (row.items() if isinstance(row, Mapping) else enumerate(row)):
-            if v and (x := rat(v)):
-                if not 0 <= c < width:
-                    raise ValueError(f"column {c} out of range 0..{last}")
-                flipped[last - c] = x
-        red.add(flipped)
-    basis = tuple(v[::-1] for v in reversed(red.nullspace_rows()))
+        red.add(row)
+    basis = tuple(red.nullspace_rows())
     return Subspace(width, Matrix(len(basis), width, basis))
 
 

@@ -9,27 +9,22 @@ Membership in g_k is cut out by the Leibniz condition
 
     u([X, Y]) = [u(X), Y] + [X, u(Y)]
 
-over all pairs of homogeneous basis vectors X, Y, where the bracket of a
-nonnegative element w against a negative Y means applying w's stored
-maps: [w, Y] = w(Y), recursively through the representation.  Degree 0
-recovers exactly the layer-preserving (strata-preserving) derivations.
-The rows come from ``liealg._leibniz_system``, the one Leibniz assembler
-(its other layout is the n^2 entries of ``LieAlgebra.leibniz_rows``).
-``degree_zero_derivations`` and ``ultrarigidity_check`` read g_0 and g_1
-off :func:`prolong`; :func:`rigidity_verdict` turns a tower into a verdict.
+over all pairs of homogeneous basis vectors X, Y, where [w, Y] = w(Y)
+for nonnegative w, recursively through the representation.  Degree 0
+gives exactly the layer-preserving (strata-preserving) derivations.  The
+rows come from ``liealg._leibniz_system``, the one Leibniz assembler.
+:func:`rigidity_verdict` turns a tower into a verdict.
 
-The bracket of the computed tower is a table of structure constants:
-the coordinates of [b^k_i, b^m_j] in the stored basis of g_{k+m}, for
-the stored basis vectors b^k_i of g_k.  Entries are filled on first use
-from [u, v](X) = [u, [v, X]] - [v, [u, X]], reading every inner bracket
-of nonnegative degree from entries of lower total degree, and each entry
-is checked to lie in the computed component.
-
-Each component's basis is stored in canonical reduced row echelon form,
-so membership needs no elimination: it is a pivot read-off plus an exact
-residual check.  The coordinates of an element are its entries at the
-basis pivot columns, and it is a member exactly when subtracting that
-combination of the basis leaves no nonzero entry.
+Storage is sparse from the kernel on: each g_k basis vector is a
+``HomElement`` holding the nonzero entries of its flattening plus its
+block shapes, read straight off the reduced rows of a ``reverse``
+``RowReducer`` in canonical reduced row echelon form.  No dense block is
+built.  So membership is a pivot read-off plus an exact residual check,
+and the bracket is a table of structure constants, the coordinates of
+[b^k_i, b^m_j] in the stored basis of g_{k+m}, filled on first use from
+[u, v](X) = [u, [v, X]] - [v, [u, X]] with inner brackets of nonnegative
+degree read from entries of lower total degree, each checked to lie in
+the computed component.
 
 Everything is computed in an adapted basis in which each layer is a
 coordinate block; results living in the original endomorphism space are
@@ -38,21 +33,25 @@ conjugated back at the boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Mapping, Optional, Sequence
 
 from .grading import Stratification
 from .liealg import LieAlgebra, _leibniz_system
 from .linalg import (
+    _ZERO,
     Matrix,
+    RowReducer,
     Subspace,
     Vec,
+    _dense_vec,
     _sparse_cols,
     invert,
-    is_zero_vec,
-    solution_space,
+    rat,
     # not called here (coordinates are read off at pivots), but the
     # benchmark self-test bench/selftest.py checks that its tracer wraps
     # carnot.tanaka.solve_affine, so the name stays until that test changes
@@ -126,55 +125,82 @@ class AdaptedFrame:
 
 @dataclass(frozen=True)
 class HomElement:
-    """An element of g_k: one matrix block per source layer.
+    """An element of g_k as a sparse vector with block shapes.
 
-    ``blocks[l-1]`` maps layer-l coordinates to coordinates of the
-    degree-(k-l) target (layer coordinates when k-l < 0, stored-basis
-    coordinates of the computed component when k-l >= 0).
+    Block l (l = 1..s) has shape ``shapes[l-1]`` and maps layer-l
+    coordinates to coordinates of the degree-(k-l) target (layer
+    coordinates when k-l < 0, stored-basis coordinates of g_{k-l} when
+    k-l >= 0).  The flattening is each block row-major, block after block;
+    ``entries`` holds its nonzero ``(flat column, value)`` pairs in
+    ascending columns, so equal elements have equal, hashable fields.
     """
 
     degree: int
-    blocks: tuple[Matrix, ...]
+    shapes: tuple[tuple[int, int], ...]
+    entries: tuple[tuple[int, Fraction], ...]
+
+    @staticmethod
+    def from_nonzeros(degree: int, shapes: Sequence[tuple[int, int]],
+                      values: Mapping[int, Fraction]) -> "HomElement":
+        """The element with ``values`` at its flat columns (zeros dropped)."""
+        return HomElement(degree, tuple(shapes),
+                          tuple(sorted((c, x) for c, x in values.items() if x)))
 
     def flatten(self) -> Vec:
-        return tuple(x for b in self.blocks for x in b.flatten())
+        return _dense_vec(self.entries, sum(r * c for r, c in self.shapes))
 
     def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
+        return not self.entries
 
     def scaled(self, c) -> "HomElement":
-        return HomElement(self.degree, tuple(b.scaled(c) for b in self.blocks))
+        c = rat(c)
+        return HomElement.from_nonzeros(self.degree, self.shapes,
+                                        {col: c * x for col, x in self.entries})
 
     def __add__(self, other: "HomElement") -> "HomElement":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return HomElement(self.degree, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        if (self.degree, self.shapes) != (other.degree, other.shapes):
+            raise ValueError("degree or shape mismatch")
+        return HomElement.from_nonzeros(self.degree, self.shapes,
+                                        _add_scaled(dict(self.entries), 1, other.entries))
+
+    def image(self, a: int) -> dict[int, Fraction]:
+        """u(e_a) for the a-th adapted basis vector, as the nonzero target
+        coordinates ``{q: value}`` of a column of its layer's block.  Read-only."""
+        return self._images.get(a, {})
+
+    @cached_property
+    def _images(self) -> dict[int, dict[int, Fraction]]:
+        """Every nonzero column, indexed once on first use and kept in the
+        instance ``__dict__``, outside the dataclass fields."""
+        starts = list(accumulate((r * c for r, c in self.shapes), initial=0))
+        layer_starts = list(accumulate((c for _, c in self.shapes), initial=0))
+        out: dict[int, dict[int, Fraction]] = {}
+        for pos, x in self.entries:
+            l = bisect_right(starts, pos) - 1
+            q, col = divmod(pos - starts[l], self.shapes[l][1])
+            out.setdefault(layer_starts[l] + col, {})[q] = x
+        return out
+
+
+def _add_scaled(acc: dict[int, Fraction], c, pairs) -> dict[int, Fraction]:
+    """acc += c * v for the sparse vector v given by (index, value) pairs."""
+    for q, x in pairs:
+        acc[q] = acc.get(q, _ZERO) + c * x
+    return acc
 
 
 def _block_shapes(frame: AdaptedFrame, k: int,
-                  target_dim: Callable[[int], int]) -> list[tuple[int, int]]:
+                  target_dim: Callable[[int], int]) -> tuple[tuple[int, int], ...]:
     """(rows, cols) of each block of a degree-k element: block l maps
     layer l into degree k - l, whose dimension is ``target_dim(k - l)``."""
-    return [(target_dim(k - l), frame.layer_dim(l)) for l in range(1, frame.step + 1)]
-
-
-def _element_from_flat(k: int, shapes: Sequence[tuple[int, int]], flat: Vec) -> HomElement:
-    """Cut a flat vector into row-major blocks of the given shapes (every
-    layer of a stratification is nonzero, so each block has c >= 1
-    columns)."""
-    blocks = []
-    pos = 0
-    for r, c in shapes:
-        it = iter(flat[pos:pos + r * c])
-        blocks.append(Matrix(r, c, tuple(zip(*[it] * c))))
-        pos += r * c
-    return HomElement(k, tuple(blocks))
+    return tuple((target_dim(k - l), frame.layer_dim(l)) for l in range(1, frame.step + 1))
 
 
 def _solve_component(frame: AdaptedFrame, k: int,
                      bases: Sequence[Sequence[HomElement]],
                      dims: Sequence[int]) -> list[HomElement]:
-    """Nullspace of the degree-k Leibniz system, as HomElements.
+    """Nullspace of the degree-k Leibniz system, as HomElements in
+    canonical form, read straight off the sparse reduced rows.
 
     ``bases``/``dims`` describe the previously computed components
     g_0..g_{k-1} (both empty for k = 0).
@@ -185,9 +211,7 @@ def _solve_component(frame: AdaptedFrame, k: int,
         return frame.layer_dim(-t) if t < 0 else dims[t]
 
     shapes = _block_shapes(frame, k, target_dim)
-    offsets = [0]
-    for r, c in shapes:
-        offsets.append(offsets[-1] + r * c)
+    offsets = list(accumulate((r * c for r, c in shapes), initial=0))
     total = offsets[-1]
     if total == 0:
         return []
@@ -206,18 +230,15 @@ def _solve_component(frame: AdaptedFrame, k: int,
         key = (t, r, b)
         if key in actions:
             return actions[key]
-        j = weights[b]
         if t < 0:
             # [e_b, e_g] lies in layer j - t (the frame's table is graded),
             # so it is zero when that layer does not exist
             g = frame.offsets[-t - 1] + r
-            out = [(q - frame.offsets[j - t - 1], x)
+            out = [(q - frame.offsets[weights[b] - t - 1], x)
                    for q, x in frame.graded._ad[b].get(g, {}).items()]
         else:
             # [e_b, w] = -w(e_b)
-            block = bases[t][r].blocks[j - 1]
-            pos = b - frame.offsets[j - 1]
-            out = [(q, -row[pos]) for q, row in enumerate(block.entries) if row[pos]]
+            out = [(q, -x) for q, x in bases[t][r].image(b).items()]
         actions[key] = out
         return out
 
@@ -228,29 +249,29 @@ def _solve_component(frame: AdaptedFrame, k: int,
             for q, x in action(t, r, b):
                 yield q, col, x
 
-    sol = solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total)
-    return [_element_from_flat(k, shapes, flat) for flat in sol.basis_rows()]
+    red = RowReducer(total, reverse=True)
+    for row in _leibniz_system(frame.graded._ad, frame.dim, cols, terms):
+        red.add(row)
+    return [HomElement.from_nonzeros(k, shapes, sol) for sol in red.sparse_nullspace()]
 
 
 def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
     """A degree-0 element as an endomorphism P A P^-1 in the original
     basis, where A is block diagonal in adapted coordinates.  Column j is
-    P A (P^-1 e_j), built from the sparse columns of P^-1 and of P."""
+    P A (P^-1 e_j), built from the sparse columns of P^-1, of A and of P."""
     if el.degree != 0:
         raise ValueError("only degree-0 elements are endomorphisms")
     n = frame.dim
     p_cols = _sparse_cols(frame.cols)
     out = []
     for v in _sparse_cols(frame.cols_inv):
-        col = [Fraction(0)] * n
+        col = [_ZERO] * n
         for b, x in v.items():
-            l = frame.weights[b]
-            off = frame.offsets[l - 1]
-            for r, row in enumerate(el.blocks[l - 1].entries):
-                y = row[b - off] * x  # a term of (A v)[off + r]
-                if y:
-                    for i, z in p_cols[off + r].items():
-                        col[i] += y * z
+            off = frame.offsets[frame.weights[b] - 1]
+            for r, w in el.image(b).items():
+                y = w * x  # a term of (A v)[off + r]
+                for i, z in p_cols[off + r].items():
+                    col[i] += y * z
         out.append(col)
     return Matrix(n, n, tuple(zip(*out)))
 
@@ -258,11 +279,11 @@ def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
 def grading_element(frame: AdaptedFrame) -> HomElement:
     """The grading derivation D as a degree-0 element (j times the
     identity on layer j)."""
-    blocks = []
-    for l in range(1, frame.step + 1):
-        d = frame.layer_dim(l)
-        blocks.append(Matrix.identity(d).scaled(l))
-    return HomElement(0, tuple(blocks))
+    shapes = _block_shapes(frame, 0, lambda t: frame.layer_dim(-t))
+    starts = accumulate((d * d for d, _ in shapes), initial=0)
+    values = {start + r * (d + 1): Fraction(l)
+              for l, (start, (d, _)) in enumerate(zip(starts, shapes), 1) for r in range(d)}
+    return HomElement.from_nonzeros(0, shapes, values)
 
 
 def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Subspace:
@@ -308,31 +329,30 @@ class ProlongationResult:
             return ()
         raise ComponentNotComputedError(f"degree {t} not computed (cap {len(self.bases) - 1})")
 
-    def _shapes(self, t: int) -> list[tuple[int, int]]:
+    def _shapes(self, t: int) -> tuple[tuple[int, int], ...]:
         return _block_shapes(self.frame, t, self.component_dim)
 
     @cached_property
-    def _sparse_bases(self) -> dict[int, tuple[tuple[int, dict[int, Fraction]], ...]]:
-        """Filled on demand: degree t maps to the pivot column and the
-        nonzeros ``{column: value}`` of each stored basis vector of g_t,
-        flattened."""
+    def _pivots(self) -> dict[int, tuple[int, ...]]:
+        """Filled on demand: degree t maps to the pivots of the basis of g_t."""
         return {}
 
-    def _sparse_basis(self, t: int) -> tuple[tuple[int, dict[int, Fraction]], ...]:
-        """Pivot and nonzeros of the stored basis of g_t.  ``prolong``
-        stores each basis in canonical RREF, so vector i is 1 at its pivot
-        column and every other basis vector is 0 there; that is checked
-        once per degree."""
-        sparse = self._sparse_bases.get(t)
-        if sparse is None:
-            sparse = tuple((min(nz), nz) for nz in
-                           ({c: x for c, x in enumerate(b.flatten()) if x} for b in self.basis(t)))
-            pivots = {p for p, _ in sparse}
-            if len(pivots) != len(sparse) or any(
-                    nz[p] != 1 or len(pivots.intersection(nz)) != 1 for p, nz in sparse):
+    def _basis_pivots(self, t: int) -> tuple[int, ...]:
+        """Pivot columns of the stored basis of g_t.  ``prolong`` stores
+        each basis in canonical RREF, so vector i is 1 at its pivot column
+        (its first nonzero) and every other basis vector is 0 there; that
+        is checked once per degree."""
+        pivots = self._pivots.get(t)
+        if pivots is None:
+            basis = self.basis(t)
+            pivots = tuple(b.entries[0][0] for b in basis if b.entries)
+            pset = set(pivots)
+            if len(pset) != len(basis) or any(
+                    b.entries[0][1] != 1 or sum(c in pset for c, _ in b.entries) != 1
+                    for b in basis):
                 raise ValueError(f"stored basis of g_{t} is not in canonical form")
-            self._sparse_bases[t] = sparse
-        return sparse
+            self._pivots[t] = pivots
+        return pivots
 
     def coordinates_of(self, el: HomElement) -> Vec:
         """Coordinates of ``el`` in the stored basis of its degree;
@@ -342,31 +362,28 @@ class ProlongationResult:
         coordinates are the entries of ``el`` at the pivot columns of the
         canonical basis, and ``el`` is a member exactly when subtracting
         that combination of basis vectors leaves no nonzero entry."""
-        basis = self._sparse_basis(el.degree)
-        if [(b.rows, b.cols) for b in el.blocks] != self._shapes(el.degree):
+        pivots = self._basis_pivots(el.degree)
+        if el.shapes != self._shapes(el.degree):
             raise ValueError(f"element blocks do not have the shapes of g_{el.degree}")
-        flat = el.flatten()
-        if not basis:
-            if not is_zero_vec(flat):
-                raise MembershipError(f"nonzero element of vanishing component g_{el.degree}")
-            return ()
-        coords = tuple(flat[p] for p, _ in basis)
-        residual = list(flat)
-        for c, (_, nz) in zip(coords, basis):
+        residual = dict(el.entries)
+        coords = tuple(residual.get(p, _ZERO) for p in pivots)
+        for c, b in zip(coords, self.basis(el.degree)):
             if c:
-                for col, x in nz.items():
-                    residual[col] -= c * x
-        if any(residual):
+                _add_scaled(residual, -c, b.entries)
+        if any(residual.values()):
+            if not pivots:
+                raise MembershipError(f"nonzero element of vanishing component g_{el.degree}")
             raise MembershipError(f"element does not lie in the computed g_{el.degree}")
         return coords
 
     @cached_property
-    def _table(self) -> dict[tuple[int, int, int, int], Vec]:
+    def _table(self) -> dict[tuple[int, int, int, int], dict[int, Fraction]]:
         """Structure constants filled on demand: (k, i, m, j) maps to the
-        coordinates of [b^k_i, b^m_j] in the stored basis of g_{k+m}."""
+        nonzero coordinates ``{q: value}`` of [b^k_i, b^m_j] in the stored
+        basis of g_{k+m}."""
         return {}
 
-    def _entry(self, k: int, i: int, m: int, j: int) -> Vec:
+    def _entry(self, k: int, i: int, m: int, j: int) -> dict[int, Fraction]:
         """Table entry (k, i, m, j), computing it on first use from
         [u, v](X) = [u, [v, X]] - [v, [u, X]] over the basis vectors X of
         each layer.  An inner bracket of nonnegative degree has total
@@ -376,39 +393,42 @@ class ProlongationResult:
         if key in self._table:
             return self._table[key]
         u, v = self.basis(k)[i], self.basis(m)[j]
-        frame = self.frame
-        blocks = []
-        for l in range(1, frame.step + 1):
-            d = frame.layer_dim(l)
-            cols = [tuple(a - b if b else a for a, b in zip(self._outer(k, i, v, l, c),
-                                                           self._outer(m, j, u, l, c)))
-                    for c in range(d)]
-            blocks.append(Matrix(self.component_dim(k + m - l), d, tuple(zip(*cols))))
-        coords = self.coordinates_of(HomElement(k + m, tuple(blocks)))
-        self._table[key] = coords
-        return coords
+        shapes = self._shapes(k + m)
+        values: dict[int, Fraction] = {}
+        pos = 0
+        for a0, (rows, d) in zip(self.frame.offsets, shapes):
+            for c in range(d):
+                col = _add_scaled(self._outer(k, i, v, a0 + c), -1,
+                                  self._outer(m, j, u, a0 + c).items())
+                for q, y in col.items():
+                    values[pos + q * d + c] = y
+            pos += rows * d
+        coords = self.coordinates_of(HomElement.from_nonzeros(k + m, shapes, values))
+        self._table[key] = {q: y for q, y in enumerate(coords) if y}
+        return self._table[key]
 
-    def _outer(self, k: int, i: int, w: HomElement, l: int, c: int) -> Vec:
-        """[b^k_i, [w, X]] for X the c-th basis vector of layer l, in the
-        coordinates of degree k + deg(w) - l (layer coordinates when
-        negative)."""
-        t = w.degree - l
-        inner = w.blocks[l - 1].col(c)
+    def _outer(self, k: int, i: int, w: HomElement, a: int) -> dict[int, Fraction]:
+        """A new dict of the coordinates of [b^k_i, [w, e_a]] for the a-th
+        adapted basis vector, of layer l, in degree k + deg(w) - l (layer
+        coordinates when negative)."""
+        t = w.degree - self.frame.weights[a]
         if t < 0:
-            nz = [(r, x) for r, x in enumerate(inner) if x]
-            return tuple(sum((row[r] * x for r, x in nz if row[r]), Fraction(0))
-                         for row in self.basis(k)[i].blocks[-t - 1].entries)
-        return self._bracket_coords(k, i, t, inner)
+            # [w, e_a] lies in layer -t, on which b^k_i acts by its block
+            b, off = self.basis(k)[i], self.frame.offsets[-t - 1]
+            acc: dict[int, Fraction] = {}
+            for r, x in w.image(a).items():
+                _add_scaled(acc, x, b.image(off + r).items())
+            return acc
+        return self._bracket_coords(k, i, t, w.image(a).items())
 
-    def _bracket_coords(self, k: int, i: int, t: int, coords: Vec) -> Vec:
-        """Coordinates of [b^k_i, w] for w in g_t given by ``coords``."""
-        acc = [Fraction(0)] * self.component_dim(k + t)
-        for r, x in enumerate(coords):
+    def _bracket_coords(self, k: int, i: int, t: int, coords) -> dict[int, Fraction]:
+        """Coordinates of [b^k_i, w] for w in g_t given by its coordinate
+        pairs ``(r, value)``, as a new dict."""
+        acc: dict[int, Fraction] = {}
+        for r, x in coords:
             if x:
-                for q, y in enumerate(self._entry(k, i, t, r)):
-                    if y:
-                        acc[q] += x * y
-        return tuple(acc)
+                _add_scaled(acc, x, self._entry(k, i, t, r).items())
+        return acc
 
     def bracket(self, u: HomElement, v: HomElement) -> HomElement:
         """The prolongation bracket of nonnegative u, v: the bilinear
@@ -418,19 +438,17 @@ class ProlongationResult:
         if u.degree < 0 or v.degree < 0:
             raise ValueError("both elements must have nonnegative degree")
         a, b = self.coordinates_of(u), self.coordinates_of(v)
-        K = u.degree + v.degree
-        acc = [Fraction(0)] * self.component_dim(K)
+        k, m = u.degree, v.degree
+        basis, shapes = self.basis(k + m), self._shapes(k + m)
+        acc: dict[int, Fraction] = {}
         for i, x in enumerate(a):
             if x:
-                for q, y in enumerate(self._bracket_coords(u.degree, i, v.degree, b)):
-                    acc[q] += x * y
-        shapes = self._shapes(K)
-        flat = [Fraction(0)] * sum(r * c for r, c in shapes)
-        for c, (_, nz) in zip(acc, self._sparse_basis(K)):
+                _add_scaled(acc, x, self._bracket_coords(k, i, m, enumerate(b)).items())
+        values: dict[int, Fraction] = {}
+        for q, c in acc.items():
             if c:
-                for col, x in nz.items():
-                    flat[col] += c * x
-        return _element_from_flat(K, shapes, flat)
+                _add_scaled(values, c, basis[q].entries)
+        return HomElement.from_nonzeros(k + m, shapes, values)
 
 
 def prolong(L: LieAlgebra, s: Stratification, k_max: int = 6) -> ProlongationResult:

@@ -13,6 +13,7 @@ from carnot.grading import (
 from carnot.liealg import LieAlgebra
 from carnot.linalg import (Matrix, Subspace, as_vec, is_zero_vec, nullspace, solve_affine_rows,
                            unit_vec, vec_add)
+from carnot.tanaka import HomElement
 
 
 class NotDerivationError(ValueError):
@@ -44,6 +45,25 @@ def reference_is_derivation(L: LieAlgebra, u: Matrix) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def hom_blocks(el: HomElement) -> tuple[Matrix, ...]:
+    """The dense blocks of a tower element, one per source layer, cut
+    from its row-major flattening by its block shapes."""
+    flat = el.flatten()
+    blocks = []
+    pos = 0
+    for r, c in el.shapes:
+        blocks.append(Matrix.from_flat(flat[pos:pos + r * c], r, c))
+        pos += r * c
+    return tuple(blocks)
+
+
+def hom_from_blocks(degree: int, blocks) -> HomElement:
+    """The tower element of ``degree`` with the given dense blocks."""
+    flat = [x for b in blocks for x in b.flatten()]
+    return HomElement.from_nonzeros(degree, tuple((b.rows, b.cols) for b in blocks),
+                                    dict(enumerate(flat)))
 
 
 def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:

@@ -25,8 +25,9 @@ from carnot.grading import (
 )
 from carnot.liealg import LieAlgebra, SingularMatrixError
 from carnot.linalg import Matrix, Subspace, invert, is_zero_vec
-from carnot.tanaka import AdaptedFrame, HomElement, hom0_to_endo, prolong
+from carnot.tanaka import AdaptedFrame, hom0_to_endo, prolong
 
+from helpers import hom_blocks, hom_from_blocks
 from propsuites import random_unimodular
 
 F = Fraction
@@ -62,7 +63,7 @@ def ref_hom0_to_endo(frame, el):
     rows = [[F(0)] * n for _ in range(n)]
     for l in range(1, frame.step + 1):
         off = frame.offsets[l - 1]
-        for r, row in enumerate(el.blocks[l - 1].entries):
+        for r, row in enumerate(hom_blocks(el)[l - 1].entries):
             for c, x in enumerate(row):
                 rows[off + r][off + c] = x
     return frame.cols @ Matrix.from_rows(rows, n) @ frame.cols_inv
@@ -138,7 +139,7 @@ def test_hom0_to_endo_matches_dense_reference(name):
         result = prolong(L, s, 0)
         frame = result.frame
         # g_0 basis elements, plus one random degree-0 element
-        generic = HomElement(0, tuple(
+        generic = hom_from_blocks(0, tuple(
             Matrix.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
                               for _ in range(d)], d)
             for d in (frame.layer_dim(l) for l in range(1, frame.step + 1))))
@@ -187,7 +188,7 @@ def test_dim_zero_and_one():
         assert dilation(s, F(-3, 7)) == Matrix.identity(n).scaled(F(-3, 7))
     L1 = LieAlgebra.from_brackets(1, {})
     frame = AdaptedFrame.build(L1, Stratification((Subspace.full(1),)))
-    el = HomElement(0, (Matrix.from_rows([[F(5, 3)]], 1),))
+    el = hom_from_blocks(0, (Matrix.from_rows([[F(5, 3)]], 1),))
     assert hom0_to_endo(frame, el) == Matrix.from_rows([[F(5, 3)]], 1)
 
 

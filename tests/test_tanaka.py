@@ -7,7 +7,8 @@ import pytest
 from carnot import catalog
 from carnot.grading import coordinate_layers, grading_derivation, verify_stratification
 from carnot.liealg import LieAlgebra
-from carnot.linalg import Matrix, Subspace, is_zero_vec, rref, solve_affine, unit_vec, zero_vec
+from carnot.linalg import (Matrix, Subspace, is_zero_vec, rref, solution_space, solve_affine,
+                           unit_vec, zero_vec)
 from carnot.tanaka import (
     AdaptedFrame,
     ComponentNotComputedError,
@@ -21,6 +22,8 @@ from carnot.tanaka import (
     prolong,
     ultrarigidity_check,
 )
+
+from helpers import hom_blocks, hom_from_blocks
 
 F = Fraction
 
@@ -222,6 +225,67 @@ def test_prolong_heisenberg9_matches_contact_hamiltonian_count():
     assert result.finite is None
 
 
+def test_prolong_heisenberg11_matches_contact_hamiltonian_count():
+    entry = catalog.get("heisenberg_2n1(5)")
+    result = prolong(entry.algebra, strat_of(entry), 3)
+    assert result.dims == (56, 230, 771, 2232)
+    assert result.dims == tuple(contact_monomial_count(k + 2, 5) for k in range(4))
+    assert result.finite is None
+
+
+@pytest.mark.parametrize("name,cap", [
+    ("heisenberg_2n1(1)", 3),
+    ("heisenberg_2n1(2)", 3),
+    ("heisenberg_2n1(3)", 3),
+    ("example1_16", 2),
+    ("free_step2_rank3", 2),
+])
+def test_sparse_bases_equal_dense_solution_space(name, cap, monkeypatch):
+    # record the Leibniz rows each degree feeds its reducer, then solve
+    # the same rows with the dense solution_space; independently of the
+    # elimination order, each stored vector solves every row and the
+    # count is width - rank from a plain (lowest-lead) reducer
+    import carnot.tanaka
+    from carnot.linalg import RowReducer
+
+    systems = []
+
+    class Recording(RowReducer):
+        def __init__(self, width, reverse=False):
+            super().__init__(width, reverse)
+            systems.append((width, []))
+
+        def add(self, row):
+            systems[-1][1].append(dict(row))
+            return super().add(row)
+
+    entry = catalog.get(name)
+    s = strat_of(entry)
+    with monkeypatch.context() as m:
+        m.setattr(carnot.tanaka, "RowReducer", Recording)
+        result = prolong(entry.algebra, s, cap)
+    assert len(systems) == len(result.bases)
+    for k, ((width, rows), basis) in enumerate(zip(systems, result.bases)):
+        flats = tuple(el.flatten() for el in basis)
+        assert flats == solution_space(rows, width).basis_rows()
+        assert all(el.degree == k and el.shapes == result._shapes(k) for el in basis)
+        plain = RowReducer(width)
+        by_col = {}
+        for i, row in enumerate(rows):
+            plain.add(row)
+            for c, x in row.items():
+                by_col.setdefault(c, []).append((i, x))
+        assert len(basis) == width - plain.rank
+        for el in basis:
+            residual = {}
+            for c, x in el.entries:
+                for i, y in by_col.get(c, ()):
+                    residual[i] = residual.get(i, 0) + x * y
+            assert not any(residual.values())
+    again = prolong(entry.algebra, s, cap)
+    assert again == result and hash(again) == hash(result)
+
+
 def test_prolong_stores_canonical_bases():
     entry = catalog.get("heisenberg_2n1(2)")
     result = prolong(entry.algebra, strat_of(entry), 3)
@@ -311,15 +375,15 @@ def test_adapted_frame_inverts_its_frame_once(ex1, monkeypatch):
 def test_hom_element_shapes(h3_prolonged):
     for u in h3_prolonged.bases[1]:
         assert u.degree == 1
-        assert (u.blocks[0].rows, u.blocks[0].cols) == (4, 2)  # V1 -> g0
-        assert (u.blocks[1].rows, u.blocks[1].cols) == (2, 1)  # V2 -> V1
+        assert u.shapes == ((4, 2), (2, 1))  # V1 -> g0, V2 -> V1
+        assert tuple((b.rows, b.cols) for b in hom_blocks(u)) == u.shapes
 
 
 def test_restriction_to_first_layer_is_injective(h3_prolonged):
     # an element of g_k (k >= 1) vanishing on V1 vanishes everywhere
     for k in (1, 2):
         basis = h3_prolonged.bases[k]
-        flats = [b.blocks[0].flatten() for b in basis]
+        flats = [hom_blocks(b)[0].flatten() for b in basis]
         _, rank = rref(Matrix.from_rows(flats, len(flats[0])))
         assert rank == len(basis)
 
@@ -472,10 +536,10 @@ def test_bracket_rejects_non_member_in_either_slot(h3_prolonged):
     u, v = result.bases[1][0], result.bases[1][1]
     # g_1 elements are determined by their V1 block, so changing only the
     # V2 block leaves g_1
-    v2 = u.blocks[1]
+    v1, v2 = hom_blocks(u)
     bumped = [list(row) for row in v2.entries]
     bumped[0][0] += 1
-    bad = HomElement(1, (u.blocks[0], Matrix.from_rows(bumped, v2.cols)))
+    bad = hom_from_blocks(1, (v1, Matrix.from_rows(bumped, v2.cols)))
     D = grading_element(result.frame)
     for other in (v, D):
         with pytest.raises(MembershipError):
@@ -507,7 +571,7 @@ def _ref_zero_element(frame, k, dims):
         t = k - l
         td = frame.layer_dim(-t) if t < 0 else dims[t]
         blocks.append(Matrix.zeros(td, frame.layer_dim(l)))
-    return HomElement(k, tuple(blocks))
+    return hom_from_blocks(k, tuple(blocks))
 
 
 def _ref_coordinates(result, el):
@@ -524,22 +588,32 @@ def _ref_coordinates(result, el):
     return sol.particular
 
 
-def _ref_apply_value(result, w, deg, coords):
+def _ref_apply_value(result, w, deg, coords, memo):
     """[w, xi] for xi of degree ``deg`` given by coordinates (layer
     coordinates when deg < 0, basis coordinates when deg >= 0)."""
     out_deg = w.degree + deg
     if deg < 0:
-        return out_deg, w.blocks[-deg - 1].apply(coords)
+        return out_deg, hom_blocks(w)[-deg - 1].apply(coords)
     acc = _ref_zero_element(result.frame, out_deg, _ref_dims_view(result, max(out_deg, 0)))
     for r, cr in enumerate(coords):
         if cr:
-            acc = acc + ref_bracket(result, w, result.bases[deg][r]).scaled(cr)
+            key = (w, deg, r)
+            if key not in memo:
+                memo[key] = ref_bracket(result, w, result.bases[deg][r], memo)
+            acc = acc + memo[key].scaled(cr)
     return out_deg, _ref_coordinates(result, acc)
 
 
-def ref_bracket(result, u, v):
+def ref_bracket(result, u, v, memo=None):
     """[u, v](X) = [u, [v, X]] - [v, [u, X]], recursing through
-    ``_ref_apply_value`` and checking membership of the result."""
+    ``_ref_apply_value`` and checking membership of the result.
+
+    ``memo`` maps ``(w, t, r)`` to the inner bracket [w, b^t_r] against
+    the r-th stored basis vector of g_t.  It belongs to the caller, who
+    may share it across calls on one result; the library's table of
+    structure constants is never read."""
+    if memo is None:
+        memo = {}
     K = u.degree + v.degree
     dims_view = _ref_dims_view(result, max(K, 0))
     frame = result.frame
@@ -549,17 +623,17 @@ def ref_bracket(result, u, v):
         cols = []
         for c in range(frame.layer_dim(l)):
             x = unit_vec(frame.layer_dim(l), c)
-            d1, c1 = _ref_apply_value(result, v, -l, x)
-            _, val1 = _ref_apply_value(result, u, d1, c1)
-            d2, c2 = _ref_apply_value(result, u, -l, x)
-            _, val2 = _ref_apply_value(result, v, d2, c2)
+            d1, c1 = _ref_apply_value(result, v, -l, x, memo)
+            _, val1 = _ref_apply_value(result, u, d1, c1, memo)
+            d2, c2 = _ref_apply_value(result, u, -l, x, memo)
+            _, val2 = _ref_apply_value(result, v, d2, c2, memo)
             col = tuple(a - b for a, b in zip(val1, val2))
             cols.append(col if col else zero_vec(td))
         if td == 0:
             blocks.append(Matrix.zeros(0, frame.layer_dim(l)))
         else:
             blocks.append(Matrix.from_rows(cols, td).transpose())
-    out = HomElement(K, tuple(blocks))
+    out = hom_from_blocks(K, tuple(blocks))
     _ref_coordinates(result, out)
     return out
 
@@ -585,11 +659,13 @@ def towers_to_degree_2():
 @pytest.mark.parametrize("name", ["heisenberg_3", "free_step2_rank3"])
 def test_bracket_matches_reference_on_basis_pairs(towers_to_degree_2, name):
     result = towers_to_degree_2[name]
+    memo = {}
     for k in range(3):
         for m in range(3 - k):
             for u in result.bases[k]:
                 for v in result.bases[m]:
-                    assert result.bracket(u, v).flatten() == ref_bracket(result, u, v).flatten()
+                    want = ref_bracket(result, u, v, memo).flatten()
+                    assert result.bracket(u, v).flatten() == want
 
 
 @pytest.mark.parametrize("name", ["heisenberg_3", "free_step2_rank3"])
@@ -597,14 +673,15 @@ def test_bracket_matches_reference_on_combinations(towers_to_degree_2, name):
     result = towers_to_degree_2[name]
     rng = random.Random(7)
     D = grading_element(result.frame)
+    memo = {}
     for k in range(3):
         for m in range(3 - k):
             for _ in range(3):
                 u, v = random_element(result, k, rng), random_element(result, m, rng)
-                assert result.bracket(u, v).flatten() == ref_bracket(result, u, v).flatten()
+                assert result.bracket(u, v).flatten() == ref_bracket(result, u, v, memo).flatten()
         for u in result.bases[k]:
-            assert result.bracket(u, D).flatten() == ref_bracket(result, u, D).flatten()
-            assert result.bracket(D, u).flatten() == ref_bracket(result, D, u).flatten()
+            assert result.bracket(u, D).flatten() == ref_bracket(result, u, D, memo).flatten()
+            assert result.bracket(D, u).flatten() == ref_bracket(result, D, u, memo).flatten()
 
 
 @pytest.mark.parametrize("name,cap,seed", [
@@ -651,15 +728,9 @@ def read_off_towers():
 
 def _with_entry(el, pos, value):
     """``el`` with the entry at flat position ``pos`` replaced."""
-    blocks = []
-    for b in el.blocks:
-        size = b.rows * b.cols
-        flat = list(b.flatten())
-        if 0 <= pos < size:
-            flat[pos] = value
-        blocks.append(Matrix.from_flat(flat, b.rows, b.cols))
-        pos -= size
-    return HomElement(el.degree, tuple(blocks))
+    values = dict(el.entries)
+    values[pos] = value
+    return HomElement.from_nonzeros(el.degree, el.shapes, values)
 
 
 @pytest.mark.parametrize("name", ["heisenberg_3", "free_step2_rank3",
@@ -696,7 +767,7 @@ def test_coordinates_in_vanishing_component(read_off_towers):
     result = read_off_towers["free(2,3)"]
     assert result.dims[4] == 0
     shapes = [(result.component_dim(4 - l), result.frame.layer_dim(l)) for l in (1, 2, 3)]
-    zero = HomElement(4, tuple(Matrix.zeros(r, c) for r, c in shapes))
+    zero = hom_from_blocks(4, tuple(Matrix.zeros(r, c) for r, c in shapes))
     assert result.coordinates_of(zero) == _ref_coordinates(result, zero) == ()
     nonzero = _with_entry(zero, 5, F(1, 3))
     with pytest.raises(MembershipError):
@@ -711,7 +782,7 @@ def test_finite_tower_bracket_past_its_last_degree():
     assert result.finite is True
     w = result.bracket(result.bases[3][0], result.bases[3][1])
     assert w.degree == 6
-    assert tuple((b.rows, b.cols) for b in w.blocks) == ((0, 2), (0, 1), (2, 2))
+    assert w.shapes == ((0, 2), (0, 1), (2, 2))
     assert w.is_zero()
 
 
@@ -720,7 +791,7 @@ def test_coordinates_of_rejects_wrong_shapes_and_non_canonical_bases(h3):
     result = prolong(L, s, 1)
     u = result.bases[1][0]
     with pytest.raises(ValueError, match="shapes"):
-        result.coordinates_of(HomElement(0, u.blocks))
+        result.coordinates_of(HomElement(0, u.shapes, u.entries))
     g1 = result.bases[1]
     for bad_g1 in (tuple(b.scaled(2) for b in g1),                  # pivot entries 2
                    (g1[0], g1[0] + g1[1]) + g1[2:],                 # a repeated pivot
