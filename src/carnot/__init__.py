@@ -39,10 +39,8 @@ from .linalg import (
     Matrix,
     RowReducer,
     Subspace,
-    nullspace,
     quotient_basis,
     rat,
-    rref,
     solve_affine,
 )
 from .tanaka import (

@@ -9,15 +9,18 @@ Stratifiability is decided exactly: an algebra is stratifiable iff there
 is a derivation d with (d - id)(g) contained in [g, g].  The grading
 derivation of any stratification is such a d.  Conversely such a d
 preserves the lower central series and acts as i on gamma_i/gamma_{i+1},
-so its eigenvalues are exactly 1..s; the generalized eigenspaces
-W_j = ker((d - j)^n) satisfy [W_a, W_b] in W_{a+b} (Leibniz binomial
-identity) and gamma_i = W_i + gamma_{i+1}, whence comparing the
+so its eigenvalues are exactly 1..s and gamma_i = W_i + gamma_{i+1} for
+its generalized eigenspaces W_j.  Each W_j lies in gamma_j, so
+(d - j)W_j lies in W_j and in gamma_{j+1}, which meets W_j only in 0:
+d is semisimple and W_j = ker(d - j), one kernel per layer.  The W_j
+satisfy [W_a, W_b] in W_{a+b} (Leibniz identity), whence comparing the
 W_{j+1}-components of gamma_{j+1} = [g, gamma_j] gives
-[W_1, W_j] = W_{j+1}: the W_j form a stratification.  This turns an
-existence question over all gradings into one affine-linear feasibility
-problem over the rationals.  Since the data are rational and feasibility
-of a linear system does not change under field extension, the verdict
-over the rationals agrees with the verdict over the reals.
+[W_1, W_j] = W_{j+1}: the W_j form a stratification, and d is its
+grading derivation.  This turns an existence question over all gradings
+into one affine-linear feasibility problem over the rationals.  Since
+the data are rational and feasibility of a linear system does not
+change under field extension, the verdict over the rationals agrees
+with the verdict over the reals.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
+    _dense_vec,
     invert,
-    is_zero_vec,
-    nullspace,
     quotient_basis,
     rat,
+    residual,
+    solution_space,
     solve_affine_rows,
-    unit_vec,
 )
 
 
@@ -102,16 +105,6 @@ class Filtration:
         return tuple(t.dim for t in self.terms)
 
 
-def _bracket_span(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    rows = []
-    for x in a.basis_rows():
-        for y in b.basis_rows():
-            w = L.bracket(x, y)
-            if not is_zero_vec(w):
-                rows.append(w)
-    return Subspace.from_rows(rows, L.dim)
-
-
 def verify_stratification(L: LieAlgebra, layers: Sequence[Subspace]) -> Stratification:
     """Check the stratification axioms and return the validated object.
 
@@ -134,7 +127,7 @@ def verify_stratification(L: LieAlgebra, layers: Sequence[Subspace]) -> Stratifi
             f"layers do not form a direct sum decomposition: dims sum to {total}, span has dim {joined.dim}, ambient is {n}")
     s = len(layers)
     for j in range(s):
-        generated = _bracket_span(L, layers[j], layers[0])
+        generated = L.bracket_span(layers[j], layers[0])
         expected = layers[j + 1] if j + 1 < s else Subspace.zero(n)
         if generated != expected:
             raise LayerGenerationError(
@@ -157,7 +150,7 @@ def coordinate_layers(n: int, ranges: Sequence[tuple[int, int]]) -> list[Subspac
     for lo, hi in ranges:
         if not (1 <= lo <= hi <= n):
             raise ValueError(f"range {lo}..{hi} out of 1..{n}")
-        out.append(Subspace.from_rows([unit_vec(n, i) for i in range(lo - 1, hi)], n))
+        out.append(Subspace.from_rows([{i: 1} for i in range(lo - 1, hi)], n))
     return out
 
 
@@ -172,10 +165,14 @@ def _block_scalar_map(s: Stratification, factors: Sequence[Fraction]) -> Matrix:
     n = s.ambient_dim
     red = RowReducer(2 * n)
     for f, v in zip(factors, s.layers):
-        for p in v.basis_rows():
-            red.add(p + tuple(f * x for x in p))
-    m_t = tuple(r[n:] for r in red.canonical_rows())
-    return Matrix(n, n, m_t).transpose()
+        for p in v.rows:
+            red.add({**dict(p), **{n + c: f * x for c, x in p}})
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in red.echelon().items():
+        for c, x in row:
+            if c >= n:
+                m[c - n][i] = x
+    return Matrix(n, n, tuple(map(tuple, m)))
 
 
 def grading_derivation(s: Stratification) -> Matrix:
@@ -208,7 +205,7 @@ def filtration_from_horizontal(L: LieAlgebra, h: Subspace) -> Filtration:
     terms = [h]
     while terms[-1].dim < L.dim:
         prev = terms[-1]
-        nxt = prev + _bracket_span(L, h, prev)
+        nxt = prev + L.bracket_span(h, prev)
         if nxt == prev:
             raise NotBracketGeneratingError(
                 f"horizontal space generates only a dim-{prev.dim} subalgebra of the dim-{L.dim} algebra")
@@ -234,14 +231,14 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
     """
     filt = filtration_from_horizontal(L, h)
     s = len(filt.terms)
-    reps: list[Vec] = list(filt.terms[0].basis_rows())
+    reps = list(filt.terms[0].rows)
     weights: list[int] = [1] * filt.terms[0].dim
     for i in range(1, s):
         new = quotient_basis(filt.terms[i - 1], filt.terms[i])
         reps.extend(new)
         weights.extend([i + 1] * len(new))
     n = L.dim
-    adapted = Matrix.from_rows(reps, n)
+    adapted = Matrix(n, n, tuple(_dense_vec(r, n) for r in reps))
     a_cols = adapted.transpose()
     a_inv = invert(a_cols)
     assert a_inv is not None
@@ -274,16 +271,15 @@ def is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
     Seeks a feasible derivation d with f(d(e_i)) = f(e_i) for every basis
     vector e_i and every functional f cutting out [g, g], i.e. with
     (d - id)(g) in [g, g].  The unknowns are the coordinates of d on the
-    canonical basis of :meth:`LieAlgebra.derivation_algebra`, so the
-    Leibniz system is not eliminated a second time.  The feasible set is
-    p + W with W in ``Der``.  The witness is its canonical min-lead
+    sparse canonical basis of :meth:`LieAlgebra.derivation_algebra`, so
+    the Leibniz system is not eliminated a second time.  The feasible set
+    is p + W with W in ``Der``.  The witness is its canonical min-lead
     solution: the one element that is zero at the free columns of the
-    same system written in all n^2 entries of d, found by reducing p
-    modulo W in echelon form with leads at each vector's highest nonzero
-    column.  When feasible, the generalized eigenspaces of the witness
-    for the forced integer eigenvalues 1..s are extracted and validated
-    as a stratification; the returned witness is the grading derivation
-    of that stratification (the semisimple part).
+    same system written in all n^2 entries of d, the :func:`residual` of
+    p modulo W in echelon form with leads at each vector's highest
+    nonzero column.  Every feasible d is semisimple (module docstring),
+    so the layers are the kernels ker(d - j), j = 1..s, validated as a
+    stratification, and the witness is its grading derivation.
     """
     series = L.lower_central_series()
     if not series.nilpotent:
@@ -294,64 +290,48 @@ def is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
     # the functionals reading coordinate k, as (functional, coefficient)
     readers: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for t, f in enumerate(functionals):
-        for k, c in enumerate(f):
-            if c:
-                readers[k].append((t, c))
-    der = [{col: v for col, v in enumerate(d) if v}
-           for d in L.derivation_algebra().basis_rows()]
+        for k, c in f.items():
+            readers[k].append((t, c))
+    der = L.derivation_algebra().rows
     m = len(der)
     # row (i, t): sum_a x_a f_t(D_a(e_i)) = f_t(e_i); D_a(e_i) has
     # coordinate k at flat index k*n + i
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, d in enumerate(der):
-        for col, v in d.items():
+        for col, v in d:
             k, i = divmod(col, n)
             for t, c in readers[k]:
                 row = rows.setdefault((i, t), {})
                 row[a] = row.get(a, 0) + c * v
     for i in range(n):
-        for t, f in enumerate(functionals):
-            if f[i]:
-                rows.setdefault((i, t), {})[m] = f[i]
+        for t, c in readers[i]:
+            rows.setdefault((i, t), {})[m] = c
     sol = solve_affine_rows(rows.values(), m)
     if sol is None:
         return StratifiabilityVerdict(False, None, None)
 
-    def lift(x: Vec) -> dict[int, Fraction]:
+    def lift(x) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
-        for a, xa in enumerate(x):
+        for a, xa in x:
             if xa:
-                for col, v in der[a].items():
+                for col, v in der[a]:
                     out[col] = out.get(col, 0) + xa * v
         return out
 
-    # W with columns reversed: its canonical rows lead at the highest
-    # original column, and reduce_mod clears p at exactly those columns
-    last = n * n - 1
-    w_flipped = Subspace.from_rows(
-        [{last - col: v for col, v in lift(h).items()}
-         for h in sol.homogeneous.basis_rows()], n * n)
-    p = [Fraction(0)] * (n * n)
-    for col, v in lift(sol.particular).items():
-        p[last - col] = v
-    delta = Matrix.from_flat(w_flipped.reduce_mod(p)[::-1], n, n)
-    s = series.step
-    assert s is not None
-    layers = []
-    for j in range(1, s + 1):
-        expected = series.terms[j - 1].dim - series.terms[j].dim
-        power = delta - Matrix.identity(n).scaled(j)
-        exponent = 1
-        ker = nullspace(power)
-        while ker.dim < expected and exponent < n:
-            power = power @ power
-            exponent *= 2
-            ker = nullspace(power)
-        layers.append(ker)
+    w = RowReducer(n * n, reverse=True)
+    for h in sol.homogeneous.rows:
+        w.add(lift(h))
+    d_rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for col, v in residual(lift(enumerate(sol.particular)), w.echelon()).items():
+        k, i = divmod(col, n)
+        d_rows[k][i] = v
+    layers = [solution_space([{**r, k: r.get(k, 0) - j} for k, r in enumerate(d_rows)], n)
+              for j in range(1, series.step + 1)]
     try:
         strat = verify_stratification(L, layers)
     except (SmallFirstLayerError, TrivialTopLayerError):
         # ambient dimension 0 or 1: feasible, but below the
         # nondegeneracy floor for stratification objects
-        return StratifiabilityVerdict(True, delta, None)
-    return StratifiabilityVerdict(True, grading_derivation(strat), strat)
+        strat = None
+    witness = Matrix(n, n, tuple(_dense_vec(r.items(), n) for r in d_rows))
+    return StratifiabilityVerdict(True, witness, strat)

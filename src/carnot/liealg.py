@@ -3,9 +3,9 @@
 A ``LieAlgebra`` stores a sparse antisymmetric bracket table: only pairs
 ``(i, j)`` with ``i < j`` are kept, so antisymmetry holds by construction
 and the Jacobi identity is the only thing left to check.  Every reader of
-the table (brackets, Jacobi, Leibniz rows, series, center) goes through
-one sparse index with both orientations, built once per object, so work
-scales with the nonzero brackets rather than with ``dim**3``.  Basis
+the table (brackets, Jacobi, Leibniz rows, bracket spans, series) goes
+through one sparse index with both orientations, built once per object, so
+work scales with the nonzero brackets rather than with ``dim**3``.  Basis
 indices are 0-based internally; the default labels are ``e1..en``.
 
 The Leibniz identity is assembled once, in :func:`_leibniz_system`, for
@@ -211,25 +211,11 @@ class LieAlgebra:
         # table raises on every call
         self.validated()
         n = self.dim
-        terms = [Subspace.full(n)]
+        full = Subspace.full(n)
+        terms = [full]
         while True:
             prev = terms[-1]
-            rows = []
-            for ad_i in self._ad:
-                if not ad_i:
-                    continue
-                for v in prev.basis_rows():
-                    # [e_i, v], sparse
-                    w: dict[int, Fraction] = {}
-                    for j, coords in ad_i.items():
-                        x = v[j]
-                        if x:
-                            for k, c in coords.items():
-                                w[k] = w.get(k, _ZERO) + x * c
-                    w = {k: c for k, c in w.items() if c}
-                    if w:
-                        rows.append(w)
-            nxt = Subspace.from_rows(rows, n)
+            nxt = self.bracket_span(full, prev)
             if nxt.dim == 0:
                 terms.append(nxt)
                 return SeriesReport(tuple(terms), True, len(terms) - 1)
@@ -237,18 +223,27 @@ class LieAlgebra:
                 return SeriesReport(tuple(terms), False, None)
             terms.append(nxt)
 
-    def center(self) -> Subspace:
-        """{x : [x, e_i] = 0 for all i}; the nullspace of the stacked
-        ad-action in the first argument."""
+    def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
+        """span [a, b]: every bracket of a basis row of ``a`` with one of
+        ``b``, through the sparse rows and the sparse table."""
+        ad = self._ad
         rows = []
-        # row for (j, k): sum_i x_i * c_{i j}^k = 0, with c_{i j}^k = -c_{j i}^k
-        for ad_j in self._ad:
-            eqs: dict[int, dict[int, Fraction]] = {}
-            for i in sorted(ad_j):
-                for k, c in ad_j[i].items():
-                    eqs.setdefault(k, {})[i] = -c
-            rows.extend(eqs[k] for k in sorted(eqs))
-        return solution_space(rows, self.dim)
+        for x in a.rows:
+            ad_x: dict[int, dict[int, Fraction]] = {}  # [x, e_j] per j
+            for i, xi in x:
+                for j, coords in ad[i].items():
+                    acc = ad_x.setdefault(j, {})
+                    for k, c in coords.items():
+                        acc[k] = acc.get(k, _ZERO) + xi * c
+            for y in b.rows:
+                w: dict[int, Fraction] = {}
+                for j, yj in y:
+                    for k, c in ad_x.get(j, {}).items():
+                        w[k] = w.get(k, _ZERO) + yj * c
+                w = {k: c for k, c in w.items() if c}
+                if w:
+                    rows.append(w)
+        return Subspace.from_rows(rows, self.dim)
 
     def is_derivation(self, u: Matrix) -> bool:
         """Leibniz identity u[x,y] = [u x, y] + [x, u y] on all basis

@@ -1,17 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Immutable ``Matrix`` values and row-reduced subspaces with
+Row-reduced subspaces and immutable ``Matrix`` values with
 arbitrary-precision ``Fraction`` entries.  Everything here is exact:
 floats are rejected at construction time and no tolerance appears
-anywhere.  Subspaces are kept in canonical reduced row echelon form, so
-equality of subspaces is plain entry-wise equality of their basis
-matrices.  ``Matrix`` is the exchange format; hot paths read its nonzero
-entries (``_sparse_cols``) rather than multiplying dense matrices.
+anywhere.
+
+One row format: a sparse row is the tuple of its nonzero
+``(column, Fraction)`` pairs in ascending columns (``SparseRow``, the
+format of ``tanaka.HomElement.entries``).  A ``Subspace`` keeps its
+canonical reduced row echelon basis as sparse rows, so equality of
+subspaces is equality of those tuples; ``basis_rows()`` is the dense
+view for rendering.  ``Matrix`` is the dense exchange format of basis
+changes and witnesses; hot paths read its nonzero entries
+(``_sparse_cols``).
 
 One kernel does the elimination: ``RowReducer`` keeps sparse integer
-pivot rows.  Every solution space (``solution_space``, ``nullspace``)
-is read off its back-substituted rows already in canonical form, with
-no dense pass and no second reduction.
+pivot rows.  Every canonical basis (``Subspace.from_rows``,
+``solution_space``) is read off its back-substituted rows, with no dense
+pass and no second reduction.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
 Vec = tuple[Fraction, ...]
+SparseRow = tuple[tuple[int, Fraction], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -54,19 +61,6 @@ def zero_vec(n: int) -> Vec:
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Scalar, v: Vec) -> Vec:
-    c = rat(c)
-    return tuple(c * a for a in v)
-
-
-def vec_dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), _ZERO)
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -101,39 +95,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
-
-    def col(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
-
-    def apply(self, v: Sequence[Scalar]) -> Vec:
-        """Matrix times column vector."""
-        vv = as_vec(v)
-        if len(vv) != self.cols:
-            raise ValueError(f"expected vector of length {self.cols}, got {len(vv)}")
-        return tuple(vec_dot(row, vv) for row in self.entries)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes for product")
-        tcols = other.transpose().entries
-        data = tuple(tuple(vec_dot(row, col) for col in tcols) for row in self.entries)
-        return Matrix(self.rows, other.cols, data)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("incompatible shapes for sum")
-        data = tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, data)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scaled(-1)
-
-    def scaled(self, c: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(vec_scale(c, row) for row in self.entries))
-
     def transpose(self) -> "Matrix":
         data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
         return Matrix(self.cols, self.rows, data)
@@ -141,13 +102,6 @@ class Matrix:
     def flatten(self) -> Vec:
         """Row-major flattening; endomorphisms live in ambient dim rows*cols."""
         return tuple(x for row in self.entries for x in row)
-
-    @staticmethod
-    def from_flat(flat: Sequence[Scalar], rows: int, cols: int) -> "Matrix":
-        vv = as_vec(flat)
-        if len(vv) != rows * cols:
-            raise ValueError("flat length mismatch")
-        return Matrix(rows, cols, tuple(vv[i * cols:(i + 1) * cols] for i in range(rows)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -195,8 +149,9 @@ class RowReducer:
                                 for c, v in items.items()})
 
     def add(self, row) -> bool:
-        """Reduce ``row`` against the current pivots; returns True if it
-        increased the rank (i.e. was independent)."""
+        """Reduce ``row`` (a dense sequence or a ``{column: value}``
+        mapping) against the current pivots; returns True if it increased
+        the rank (i.e. was independent)."""
         cur = self._to_sparse_int(row)
         while cur:
             lead = self._lead(cur)
@@ -226,12 +181,12 @@ class RowReducer:
             out[p] = row
         return out
 
-    def canonical_rows(self) -> list[Vec]:
-        """The canonical RREF rows (pivot 1, zeros above and below pivots),
-        sorted by pivot column."""
-        rows = self._reduced_rows()
-        return [_dense_vec(((col, Fraction(v, r[c])) for col, v in r.items()), self.width)
-                for c, r in sorted(rows.items())]
+    def echelon(self) -> dict[int, SparseRow]:
+        """The canonical reduced rows by ascending pivot column, as sparse
+        rows: 1 at their pivot and 0 at every other pivot column.  With
+        ``reverse`` each pivot is its row's highest column."""
+        return {p: tuple(sorted((c, Fraction(v, r[p])) for c, v in r.items()))
+                for p, r in sorted(self._reduced_rows().items())}
 
     def sparse_nullspace(self) -> list[dict[int, Fraction]]:
         """A basis of the solution space of (rows)·x = 0, read off the
@@ -292,86 +247,84 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], col: int,
     return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """The unique reduced row echelon form of ``m`` and its rank.
-
-    Zero rows are kept, so the result has the same shape as the input.
-    """
-    red = RowReducer(m.cols)
-    for row in m.entries:
-        red.add(row)
-    rows = red.canonical_rows()
-    rank = len(rows)
-    rows.extend(zero_vec(m.cols) for _ in range(m.rows - rank))
-    return Matrix(m.rows, m.cols, tuple(rows)), rank
+def residual(v: Mapping[int, Fraction], echelon: Mapping[int, SparseRow]) -> dict[int, Fraction]:
+    """The nonzero entries of ``v`` minus its canonical projection onto
+    the span of ``echelon`` (reduced rows by pivot, as from
+    :meth:`RowReducer.echelon`): v - sum_p v[p] row_p, which is zero at
+    every pivot, and empty iff ``v`` lies in the span.  The rows are zero
+    at each other's pivots, so their order does not matter."""
+    out = dict(v)
+    for p, row in echelon.items():
+        c = v.get(p)
+        if c:
+            for col, x in row:
+                out[col] = out.get(col, _ZERO) - c * x
+    return {col: x for col, x in out.items() if x}
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n, stored as a canonical RREF basis.
+    """A linear subspace of Q^n, stored as its canonical RREF basis: one
+    sparse row per pivot column, in ascending pivot order, each with 1 at
+    its first (pivot) column and 0 at every other pivot.
 
-    Two subspaces are equal iff their basis matrices are entry-equal.
+    Two subspaces are equal iff their rows are equal.
     """
 
     ambient_dim: int
-    basis: Matrix
-
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
-            raise ValueError("basis width must equal ambient dimension")
+    rows: tuple[SparseRow, ...]
 
     @staticmethod
-    def from_rows(rows: Sequence[Iterable[Scalar]], ambient_dim: int) -> "Subspace":
+    def from_rows(rows: Iterable, ambient_dim: int) -> "Subspace":
+        """The span of dense rows of length ``ambient_dim`` or sparse
+        ``{column: value}`` mappings."""
         red = RowReducer(ambient_dim)
         for row in rows:
             red.add(row)
-        canon = red.canonical_rows()
-        return Subspace(ambient_dim, Matrix(len(canon), ambient_dim, tuple(canon)))
+        return Subspace(ambient_dim, tuple(red.echelon().values()))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(0, ambient_dim, ()))
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(ambient_dim, tuple(((i, _ONE),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def basis_rows(self) -> tuple[Vec, ...]:
-        return self.basis.entries
+        """The canonical basis as dense vectors."""
+        return tuple(_dense_vec(row, self.ambient_dim) for row in self.rows)
 
-    def reduce_mod(self, v: Sequence[Scalar]) -> Vec:
-        """Residual of ``v`` after subtracting its projection onto the
-        pivot coordinates; zero iff ``v`` lies in the subspace."""
-        vv = list(as_vec(v))
-        if len(vv) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        for row in self.basis.entries:
-            lead = _leading_col(row)
-            coeff = vv[lead]
-            if coeff:
-                for j in range(lead, self.ambient_dim):
-                    vv[j] -= coeff * row[j]
-        return tuple(vv)
+    def _echelon(self) -> dict[int, SparseRow]:
+        return {row[0][0]: row for row in self.rows}
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return is_zero_vec(self.reduce_mod(v))
+    def reduce_mod(self, v) -> dict[int, Fraction]:
+        """The nonzero entries of the :func:`residual` of ``v``, a dense
+        vector or a ``{column: value}`` mapping; empty iff ``v`` lies in
+        the subspace."""
+        if not isinstance(v, Mapping):
+            if len(v) != self.ambient_dim:
+                raise ValueError("vector length mismatch")
+            v = dict(enumerate(v))
+        return residual({c: x for c, value in v.items() if (x := rat(value))}, self._echelon())
 
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
+    def contains(self, v) -> bool:
+        return not self.reduce_mod(v)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(other.contains(row) for row in self.basis.entries)
+        echelon = other._echelon()
+        return not any(residual(dict(row), echelon) for row in self.rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_rows(self.basis.entries + other.basis.entries, self.ambient_dim)
+        return Subspace.from_rows(map(dict, self.rows + other.rows), self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus intersection: row reduce [A|A / B|0]; rows whose left
@@ -380,32 +333,30 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         n = self.ambient_dim
         red = RowReducer(2 * n)
-        for row in self.basis.entries:
-            red.add(row + row)
-        for row in other.basis.entries:
-            red.add(row + zero_vec(n))
-        inter = [r[n:] for r in red.canonical_rows() if is_zero_vec(r[:n])]
+        for row in self.rows:
+            red.add({**dict(row), **{n + c: x for c, x in row}})
+        for row in other.rows:
+            red.add(dict(row))
+        inter = [{c - n: x for c, x in row} for p, row in red.echelon().items() if p >= n]
         return Subspace.from_rows(inter, n)
 
-    def quotient_functionals(self) -> list[Vec]:
-        """Linear functionals cutting out this subspace: ``v`` belongs to
-        the subspace iff every returned functional vanishes on ``v``.
+    def quotient_functionals(self) -> list[dict[int, Fraction]]:
+        """Linear functionals cutting out this subspace, as ``{column:
+        coefficient}``: ``v`` belongs to the subspace iff every returned
+        functional vanishes on ``v``.
 
-        One functional per non-pivot coordinate (coordinates of the
-        canonical projection onto the complement)."""
-        n = self.ambient_dim
-        pivots = [_leading_col(row) for row in self.basis.entries]
-        pivot_set = set(pivots)
-        out = []
-        for q in range(n):
-            if q in pivot_set:
-                continue
-            f = [_ZERO] * n
-            f[q] = _ONE
-            for row, p in zip(self.basis.entries, pivots):
-                f[p] = -row[q]
-            out.append(tuple(f))
-        return out
+        One functional per non-pivot coordinate q, in ascending q (the
+        coordinates of the canonical projection onto the complement):
+        1 at q and -row_p[q] at each pivot p."""
+        out = {q: {q: _ONE} for q in range(self.ambient_dim)}
+        for row in self.rows:
+            p = row[0][0]
+            del out[p]
+        for row in self.rows:
+            p = row[0][0]
+            for q, x in row[1:]:
+                out[q][p] = -x
+        return list(out.values())
 
 
 def _dense_vec(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vec:
@@ -426,13 +377,6 @@ def _sparse_cols(m: Matrix) -> list[dict[int, Fraction]]:
     return cols
 
 
-def _leading_col(row: Vec) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    raise ValueError("zero row has no leading column")
-
-
 def solution_space(rows: Iterable, width: int) -> Subspace:
     """The exact solution space {x : row·x = 0 for every row}, in canonical
     form, for dense rows of length ``width`` or sparse column mappings.
@@ -440,20 +384,14 @@ def solution_space(rows: Iterable, width: int) -> Subspace:
     The rows are eliminated by a ``reverse`` :class:`RowReducer`, whose
     leads are highest columns.  Every free column then lies before the
     pivots its solution touches, so the free-column solutions of
-    :meth:`RowReducer.nullspace_rows` have a leading 1 in their own free
+    :meth:`RowReducer.sparse_nullspace` have a leading 1 in their own free
     column and zeros in every other one: they already are the canonical
     RREF basis (which is unique), and no second reduction is needed.
     """
     red = RowReducer(width, reverse=True)
     for row in rows:
         red.add(row)
-    basis = tuple(red.nullspace_rows())
-    return Subspace(width, Matrix(len(basis), width, basis))
-
-
-def nullspace(m: Matrix) -> Subspace:
-    """The exact solution space {x : m·x = 0}."""
-    return solution_space(m.entries, m.cols)
+    return Subspace(width, tuple(tuple(sorted(sol.items())) for sol in red.sparse_nullspace()))
 
 
 class AffineSolution(NamedTuple):
@@ -465,7 +403,7 @@ def solve_affine(a: Matrix, b: Sequence[Scalar]) -> Optional[AffineSolution]:
     """Full solution set of a·x = b, or None when inconsistent.
 
     The particular solution is the canonical one with all free variables
-    set to zero; the homogeneous part is nullspace(a).
+    set to zero; the homogeneous part is the solution space of a.
     """
     bb = as_vec(b)
     if len(bb) != a.rows:
@@ -488,12 +426,12 @@ def solve_affine_rows(rows: Iterable, width: int) -> Optional[AffineSolution]:
     for p, r in reduced.items():
         particular[p] = Fraction(r.get(width, 0), r[p])
         homo._pivots[p] = {col: v for col, v in r.items() if col < width}
-    homogeneous = Subspace.from_rows(homo.nullspace_rows(), width)
+    homogeneous = Subspace.from_rows(homo.sparse_nullspace(), width)
     return AffineSolution(tuple(particular), homogeneous)
 
 
-def quotient_basis(sub: Subspace, whole: Subspace) -> list[Vec]:
-    """Vectors of ``whole`` extending a basis of ``sub`` to one of ``whole``.
+def quotient_basis(sub: Subspace, whole: Subspace) -> list[SparseRow]:
+    """Rows of ``whole`` extending a basis of ``sub`` to one of ``whole``.
 
     Deterministic lowest-pivot preference: candidates are the canonical
     basis rows of ``whole`` in order.  Raises when sub is not contained
@@ -502,25 +440,21 @@ def quotient_basis(sub: Subspace, whole: Subspace) -> list[Vec]:
     if not sub.is_subspace_of(whole):
         raise ValueError("sub is not contained in whole")
     red = RowReducer(sub.ambient_dim)
-    for row in sub.basis.entries:
-        red.add(row)
-    out = []
-    for row in whole.basis.entries:
-        if red.add(row):
-            out.append(row)
-    return out
+    for row in sub.rows:
+        red.add(dict(row))
+    return [row for row in whole.rows if red.add(dict(row))]
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
-    """Exact inverse, or None when singular."""
+    """Exact inverse, or None when singular: [m | I] reduces to [I | m^-1]."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     red = RowReducer(2 * n)
     for i, row in enumerate(m.entries):
-        red.add(row + unit_vec(n, i))
-    canon = red.canonical_rows()
-    if len(canon) != n or any(_leading_col(r) != i for i, r in enumerate(canon)):
+        red.add({**{c: x for c, x in enumerate(row) if x}, n + i: _ONE})
+    echelon = red.echelon()
+    if list(echelon) != list(range(n)):
         return None
-    return Matrix.from_rows([r[n:] for r in canon], n)
-
+    return Matrix(n, n, tuple(_dense_vec(((c - n, x) for c, x in row if c >= n), n)
+                              for row in echelon.values()))

@@ -1,19 +1,109 @@
-"""Test-only constructions on top of the public ``LieAlgebra`` API."""
+"""Test-only constructions on top of the public ``LieAlgebra`` API, and
+the dense references that tests compare the sparse library against:
+``Matrix`` arithmetic, ``rref``, ``nullspace`` and the stratifiability
+decision with its generalised eigenspaces by repeated squaring."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from carnot.grading import (
     NotNilpotentError,
     SmallFirstLayerError,
     StratifiabilityVerdict,
     TrivialTopLayerError,
+    consecutive_ranges,
+    coordinate_layers,
     grading_derivation,
     verify_stratification,
 )
 from carnot.liealg import LieAlgebra
-from carnot.linalg import (Matrix, Subspace, as_vec, is_zero_vec, nullspace, solve_affine_rows,
-                           unit_vec, vec_add)
-from carnot.tanaka import HomElement
+from carnot.linalg import (Matrix, RowReducer, Subspace, Vec, as_vec, is_zero_vec, solution_space,
+                           solve_affine_rows, unit_vec, zero_vec)
+from carnot.tanaka import HomElement, prolong
+
+
+# -- dense Matrix arithmetic ---------------------------------------------------
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
+
+
+def from_flat(flat, rows: int, cols: int) -> Matrix:
+    """The matrix with the given row-major flattening."""
+    vv = as_vec(flat)
+    if len(vv) != rows * cols:
+        raise ValueError("flat length mismatch")
+    return Matrix(rows, cols, tuple(vv[i * cols:(i + 1) * cols] for i in range(rows)))
+
+
+def col(m: Matrix, j: int) -> Vec:
+    return tuple(row[j] for row in m.entries)
+
+
+def vec_add(u: Vec, v: Vec) -> Vec:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def apply(m: Matrix, v) -> Vec:
+    """Matrix times column vector."""
+    vv = as_vec(v)
+    if len(vv) != m.cols:
+        raise ValueError(f"expected vector of length {m.cols}, got {len(vv)}")
+    return tuple(sum((a * b for a, b in zip(row, vv)), Fraction(0)) for row in m.entries)
+
+
+def matmul(*ms: Matrix) -> Matrix:
+    """The product of the matrices, left to right."""
+    out = ms[0]
+    for m in ms[1:]:
+        if out.cols != m.rows:
+            raise ValueError("incompatible shapes for product")
+        cols = m.transpose().entries
+        out = Matrix(out.rows, m.cols, tuple(
+            tuple(sum((a * b for a, b in zip(row, c)), Fraction(0)) for c in cols)
+            for row in out.entries))
+    return out
+
+
+def scaled(m: Matrix, c) -> Matrix:
+    c = Fraction(c)
+    return Matrix(m.rows, m.cols, tuple(tuple(c * x for x in row) for row in m.entries))
+
+
+def matsub(a: Matrix, b: Matrix) -> Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("incompatible shapes for difference")
+    return Matrix(a.rows, a.cols, tuple(tuple(x - y for x, y in zip(r, s))
+                                        for r, s in zip(a.entries, b.entries)))
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """The reduced row echelon form of ``m`` (zero rows kept, so the shape
+    is unchanged) and its rank, from the canonical basis of its row space."""
+    rows = Subspace.from_rows(m.entries, m.cols).basis_rows()
+    rank = len(rows)
+    return Matrix(m.rows, m.cols, rows + tuple(zero_vec(m.cols) for _ in range(m.rows - rank))), rank
+
+
+def nullspace(m: Matrix) -> Subspace:
+    """The exact solution space {x : m·x = 0}."""
+    return solution_space(m.entries, m.cols)
+
+
+# -- Lie algebra constructions ---------------------------------------------------
+
+def center(L: LieAlgebra) -> Subspace:
+    """{x : [x, e_i] = 0 for all i}; the nullspace of the stacked
+    ad-action in the first argument."""
+    rows = []
+    # row for (j, k): sum_i x_i * c_{i j}^k = 0, with c_{i j}^k = -c_{j i}^k
+    for ad_j in L._ad:
+        eqs: dict[int, dict[int, Fraction]] = {}
+        for i in sorted(ad_j):
+            for k, c in ad_j[i].items():
+                eqs.setdefault(k, {})[i] = -c
+        rows.extend(eqs[k] for k in sorted(eqs))
+    return solution_space(rows, L.dim)
 
 
 class NotDerivationError(ValueError):
@@ -37,11 +127,11 @@ def reference_is_derivation(L: LieAlgebra, u: Matrix) -> bool:
         raise ValueError("endomorphism shape mismatch")
     n = L.dim
     for i in range(n):
-        ui = u.col(i)
+        ui = col(u, i)
         for j in range(i + 1, n):
-            lhs = u.apply(L.bracket_basis(i, j))
+            lhs = apply(u, L.bracket_basis(i, j))
             rhs = vec_add(L.bracket(ui, unit_vec(n, j)),
-                          L.bracket(unit_vec(n, i), u.col(j)))
+                          L.bracket(unit_vec(n, i), col(u, j)))
             if lhs != rhs:
                 return False
     return True
@@ -54,7 +144,7 @@ def hom_blocks(el: HomElement) -> tuple[Matrix, ...]:
     blocks = []
     pos = 0
     for r, c in el.shapes:
-        blocks.append(Matrix.from_flat(flat[pos:pos + r * c], r, c))
+        blocks.append(from_flat(flat[pos:pos + r * c], r, c))
         pos += r * c
     return tuple(blocks)
 
@@ -74,19 +164,18 @@ def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:
     n = L.dim
     brackets = {(i, j): vec + (Fraction(0),) for (i, j), vec in L.table}
     for i in range(n):
-        col = d.col(i)
-        if not is_zero_vec(col):
+        image = col(d, i)
+        if not is_zero_vec(image):
             # stored pair (i, n) = [e_i, e_{n+1}] = -d(e_i)
-            brackets[(i, n)] = tuple(-x for x in col) + (Fraction(0),)
+            brackets[(i, n)] = tuple(-x for x in image) + (Fraction(0),)
     return LieAlgebra.from_brackets(n + 1, brackets, L.labels + (f"e{n + 1}",)).validated()
 
 
-def reference_is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
-    """The stratifiability decision as one affine solve over all n^2
-    entries of d: the Leibniz rows plus f(d(e_i)) = f(e_i) for every
-    functional f cutting out [g, g], eliminated together in n^2 + 1
-    columns.  Its particular solution (zero at every free column) is the
-    witness that ``grading.is_stratifiable`` must reproduce."""
+def reference_feasible_set(L: LieAlgebra):
+    """The derivations d with (d - id)(g) in [g, g], as one affine solve
+    over all n^2 entries of d: the Leibniz rows plus f(d(e_i)) = f(e_i)
+    for every functional f cutting out [g, g], eliminated together in
+    n^2 + 1 columns.  None when infeasible."""
     series = L.lower_central_series()
     if not series.nilpotent:
         raise NotNilpotentError("only nilpotent algebras can be stratified")
@@ -96,22 +185,33 @@ def reference_is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
     rows = list(L.leibniz_rows())
     for i in range(n):
         for f in functionals:
-            row = {k * n + i: f[k] for k in range(n) if f[k]}
-            row[n * n] = f[i]
+            row = {k * n + i: c for k, c in f.items()}
+            if i in f:
+                row[n * n] = f[i]
             rows.append(row)
-    sol = solve_affine_rows(rows, n * n)
+    return solve_affine_rows(rows, n * n)
+
+
+def reference_is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
+    """The stratifiability decision on :func:`reference_feasible_set`.
+    Its particular solution (zero at every free column) is the witness
+    that ``grading.is_stratifiable`` must reproduce; the layers are the
+    generalised eigenspaces ker((d - j)^e), squaring d - j until the
+    kernel has the dimension of gamma_j/gamma_{j+1}."""
+    sol = reference_feasible_set(L)
     if sol is None:
         return StratifiabilityVerdict(False, None, None)
-    delta = Matrix.from_flat(sol.particular, n, n)
-    s = series.step
+    series = L.lower_central_series()
+    n = L.dim
+    delta = from_flat(sol.particular, n, n)
     layers = []
-    for j in range(1, s + 1):
+    for j in range(1, series.step + 1):
         expected = series.terms[j - 1].dim - series.terms[j].dim
-        power = delta - Matrix.identity(n).scaled(j)
+        power = matsub(delta, scaled(Matrix.identity(n), j))
         exponent = 1
         ker = nullspace(power)
         while ker.dim < expected and exponent < n:
-            power = power @ power
+            power = matmul(power, power)
             exponent *= 2
             ker = nullspace(power)
         layers.append(ker)
@@ -120,3 +220,56 @@ def reference_is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
     except (SmallFirstLayerError, TrivialTopLayerError):
         return StratifiabilityVerdict(True, delta, None)
     return StratifiabilityVerdict(True, grading_derivation(strat), strat)
+
+
+# -- the 2-step duality ---------------------------------------------------------
+
+def two_step_type(L: LieAlgebra) -> tuple[int, int]:
+    """(m, k) for a 2-step algebra whose brackets of the first m basis
+    vectors span the last k (abelian algebras give k = 0)."""
+    k = L.lower_central_series().dims[1] if L.dim else 0
+    m = L.dim - k
+    for (a, b), vec in L.table:
+        assert b < m and all(not x for x in vec[:m]), "not in 2-step normal form"
+    return m, k
+
+
+def pair_rows(L: LieAlgebra) -> list[list[Fraction]]:
+    """The structure-constant rows of a 2-step algebra of type (m, k), one
+    per top coordinate, over the C(m,2) pair columns (a, b), a < b."""
+    m, k = two_step_type(L)
+    table = dict(L.table)
+    pairs = list(combinations(range(m), 2))
+    return [[table.get(ab, zero_vec(L.dim))[m + l] for ab in pairs] for l in range(k)]
+
+
+def two_step_dual(L: LieAlgebra) -> LieAlgebra:
+    """L^perp of type (m, C(m,2) - k) for L of type (m, k): its brackets
+    are the canonical basis of the solution space of :func:`pair_rows`, so
+    the kernel of its bracket is the row space of L's, and the stabilisers
+    of the two kernels in gl(m) correspond under the transposed action."""
+    m, _ = two_step_type(L)
+    pairs = list(combinations(range(m), 2))
+    kernel = solution_space(pair_rows(L), len(pairs)).basis_rows()
+    brackets = {ab: (0,) * m + tuple(v[q] for v in kernel) for q, ab in enumerate(pairs)}
+    return LieAlgebra.from_brackets(m + len(kernel), brackets).validated()
+
+
+def two_step_g0_dim(L: LieAlgebra) -> int:
+    """dim g_0 of a 2-step algebra in the normal form of :func:`two_step_type`."""
+    m, k = two_step_type(L)
+    layers = coordinate_layers(L.dim, consecutive_ranges([m, k] if k else [m]))
+    return prolong(L, verify_stratification(L, layers), 0).dims[0]
+
+
+def random_two_step(m: int, k: int, rng) -> LieAlgebra:
+    """A seeded 2-step algebra of type (m, k): k random integer rows of
+    rank k over the C(m,2) pair columns."""
+    pairs = list(combinations(range(m), 2))
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in pairs] for _ in range(k)]
+        red = RowReducer(len(pairs))
+        if sum(red.add(r) for r in rows) == k:
+            break
+    brackets = {ab: (0,) * m + tuple(r[q] for r in rows) for q, ab in enumerate(pairs)}
+    return LieAlgebra.from_brackets(m + k, brackets).validated()

@@ -38,6 +38,8 @@ from carnot.tanaka import (
     ultrarigidity_check,
 )
 
+from helpers import center
+
 
 @contextmanager
 def criterion(cid: str, name: str, limit: float):
@@ -73,7 +75,7 @@ def test_criterion_2_example1_structure():
         assert series.step == 2
         assert strat.layer_dims == (10, 6)
         assert homogeneous_dimension(strat) == 22
-        assert L.center().dim == 6
+        assert center(L).dim == 6
 
 
 def test_criterion_3_example1_ultrarigidity():

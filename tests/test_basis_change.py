@@ -3,7 +3,7 @@
 ``change_of_basis``, ``grading_derivation``/``dilation`` (through
 ``_block_scalar_map``), ``hom0_to_endo`` and ``nilpotentisation`` read
 ``P`` and ``P^-1`` through their nonzero entries.  The references below
-are the dense formulas: ``invert`` plus ``apply`` and ``P @ F @ P^-1``.
+are the dense formulas of ``helpers``: ``invert`` plus ``apply`` and ``P F P^-1``.
 Arithmetic is exact and canonical forms are unique, so the two routes
 must agree entry for entry, in each catalog basis and in seeded
 unimodular conjugates.
@@ -27,7 +27,7 @@ from carnot.liealg import LieAlgebra, SingularMatrixError
 from carnot.linalg import Matrix, Subspace, invert, is_zero_vec
 from carnot.tanaka import AdaptedFrame, hom0_to_endo, prolong
 
-from helpers import hom_blocks, hom_from_blocks
+from helpers import apply, col, hom_blocks, hom_from_blocks, matmul, scaled, zeros
 from propsuites import random_unimodular
 
 F = Fraction
@@ -40,13 +40,13 @@ CONJUGATES = 3
 def ref_change_of_basis(L, p):
     p_inv = invert(p)
     n = L.dim
-    cols = [p.col(i) for i in range(n)]
+    cols = [col(p, i) for i in range(n)]
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
             w = L.bracket(cols[i], cols[j])
             if not is_zero_vec(w):
-                brackets[(i, j)] = p_inv.apply(w)
+                brackets[(i, j)] = apply(p_inv, w)
     return LieAlgebra.from_brackets(n, brackets, L.labels)
 
 
@@ -55,7 +55,7 @@ def ref_block_scalar_map(s, factors):
     p = Matrix.from_rows([row for v in s.layers for row in v.basis_rows()], n).transpose()
     scale = [f for f, v in zip(factors, s.layers) for _ in range(v.dim)]
     diag = Matrix.from_rows([[scale[i] if k == i else 0 for k in range(n)] for i in range(n)], n)
-    return p @ diag @ invert(p)
+    return matmul(p, diag, invert(p))
 
 
 def ref_hom0_to_endo(frame, el):
@@ -66,7 +66,7 @@ def ref_hom0_to_endo(frame, el):
         for r, row in enumerate(hom_blocks(el)[l - 1].entries):
             for c, x in enumerate(row):
                 rows[off + r][off + c] = x
-    return frame.cols @ Matrix.from_rows(rows, n) @ frame.cols_inv
+    return matmul(frame.cols, Matrix.from_rows(rows, n), frame.cols_inv)
 
 
 def ref_gr_brackets(L, adapted, weights, step):
@@ -82,7 +82,7 @@ def ref_gr_brackets(L, adapted, weights, step):
             z = L.bracket(reps[a], reps[b])
             if is_zero_vec(z) or w > step:
                 continue
-            coords = a_inv.apply(z)
+            coords = apply(a_inv, z)
             graded = tuple(coords[k] if weights[k] == w else F(0) for k in range(n))
             if not is_zero_vec(graded):
                 brackets[(a, b)] = graded
@@ -92,7 +92,7 @@ def ref_gr_brackets(L, adapted, weights, step):
 def transported(L, s, p):
     """L and its stratification written in the basis of the columns of p."""
     p_inv = invert(p)
-    layers = [Subspace.from_rows([p_inv.apply(row) for row in v.basis_rows()], L.dim)
+    layers = [Subspace.from_rows([apply(p_inv, row) for row in v.basis_rows()], L.dim)
               for v in s.layers]
     conj = L.change_of_basis(p)
     return conj, verify_stratification(conj, layers)
@@ -185,7 +185,7 @@ def test_dim_zero_and_one():
         assert L.change_of_basis(p) == L
         s = Stratification((Subspace.full(n),))
         assert grading_derivation(s) == Matrix.identity(n)
-        assert dilation(s, F(-3, 7)) == Matrix.identity(n).scaled(F(-3, 7))
+        assert dilation(s, F(-3, 7)) == scaled(Matrix.identity(n), F(-3, 7))
     L1 = LieAlgebra.from_brackets(1, {})
     frame = AdaptedFrame.build(L1, Stratification((Subspace.full(1),)))
     el = hom_from_blocks(0, (Matrix.from_rows([[F(5, 3)]], 1),))
@@ -200,7 +200,7 @@ def test_change_of_basis_rejects_bad_matrices():
     with pytest.raises(ValueError, match="shape mismatch"):
         L.change_of_basis(Matrix.identity(4))
     with pytest.raises(ValueError, match="shape mismatch"):
-        L.change_of_basis(Matrix.zeros(3, 2))
+        L.change_of_basis(zeros(3, 2))
 
 
 def test_dilation_rejects_zero_and_hom0_rejects_degree():

@@ -23,7 +23,8 @@ from carnot.grading import (
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, unit_vec
 
-from helpers import reference_is_stratifiable, semidirect_with_derivation
+from helpers import (apply, col, from_flat, matmul, matsub, nullspace, reference_feasible_set,
+                     reference_is_stratifiable, scaled, semidirect_with_derivation)
 from propsuites import random_unimodular
 
 F = Fraction
@@ -115,7 +116,7 @@ def test_dilation_block_scalars(strat1):
     assert d2 == Matrix.from_rows(
         [[F(diag[i] if i == j else 0) for j in range(16)] for i in range(16)], 16)
     dm = dilation(strat1, -1)
-    assert dm @ dm == Matrix.identity(16)
+    assert matmul(dm, dm) == Matrix.identity(16)
     with pytest.raises(ValueError):
         dilation(strat1, 0)
 
@@ -124,13 +125,13 @@ def test_dilation_is_automorphism(example1, strat1):
     lam = F(3, 2)
     d = dilation(strat1, lam)
     for (i, j), vec in example1.table:
-        lhs = d.apply(vec)
-        rhs = example1.bracket(d.col(i), d.col(j))
+        lhs = apply(d, vec)
+        rhs = example1.bracket(col(d, i), col(d, j))
         assert lhs == rhs
 
 
 def test_dilation_group_law(strat1):
-    assert dilation(strat1, 2) @ dilation(strat1, F(1, 3)) == dilation(strat1, F(2, 3))
+    assert matmul(dilation(strat1, 2), dilation(strat1, F(1, 3))) == dilation(strat1, F(2, 3))
 
 
 def test_homogeneous_dimension(strat1, strat2):
@@ -202,9 +203,9 @@ def test_is_stratifiable_example1(example1):
     assert example1.is_derivation(v.witness)
     gamma2 = example1.lower_central_series().terms[1]
     for i in range(16):
-        col = list(v.witness.col(i))
-        col[i] -= 1
-        assert gamma2.contains(col)
+        image = list(col(v.witness, i))
+        image[i] -= 1
+        assert gamma2.contains(image)
     assert v.derived_stratification.layer_dims == (10, 6)
 
 
@@ -256,7 +257,6 @@ def _centralizer_dim(L, space):
             for k in range(L.dim):
                 row = [L.bracket(unit_vec(L.dim, i), w)[k] for i in range(L.dim)]
                 rows.append(row)
-    from carnot.linalg import Matrix, nullspace
     return nullspace(Matrix.from_rows(rows, L.dim)).dim
 
 
@@ -352,3 +352,41 @@ def test_is_stratifiable_independent_of_der_call_order(example2):
     before = is_stratifiable(strat_first)
     assert before == after
     assert strat_first.derivation_algebra() == der
+
+
+def _feasible_cases():
+    # the stratifiable entries: those with declared layers
+    cases = {name: catalog.get(name).algebra for name, _ in catalog.list_entries()
+             if catalog.get(name).declared_layers is not None}
+    cases["filiform4"] = _filiform4()
+    rng = random.Random(83)
+    for name in ("example1_16", "example2_17", "heisenberg_2n1(2)", "free_step2_rank3"):
+        L = catalog.get(name).algebra
+        cases[f"{name} conjugated"] = L.change_of_basis(random_unimodular(L.dim, rng))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_feasible_cases()))
+def test_every_feasible_derivation_is_semisimple(name):
+    # is_stratifiable reads each layer as one kernel ker(d - j): every
+    # feasible d must have kernels of the dimensions of gamma_j/gamma_{j+1},
+    # summing to n, so that no generalised eigenvector is missed
+    L = _feasible_cases()[name]
+    sol = reference_feasible_set(L)
+    assert sol is not None
+    series = L.lower_central_series()
+    n = L.dim
+    expected = [series.terms[j - 1].dim - series.terms[j].dim for j in range(1, series.step + 1)]
+    rng = random.Random(97)
+    homogeneous = sol.homogeneous.basis_rows()
+    for _ in range(3):
+        point = list(sol.particular)
+        for w in homogeneous:
+            c = F(rng.randint(-3, 3), rng.randint(1, 2))
+            point = [x + c * y for x, y in zip(point, w)]
+        d = from_flat(point, n, n)
+        assert L.is_derivation(d)
+        dims = [nullspace(matsub(d, scaled(Matrix.identity(n), j))).dim
+                for j in range(1, series.step + 1)]
+        assert dims == expected
+        assert sum(dims) == n

@@ -9,10 +9,10 @@ from carnot.liealg import (
     NotLieAlgebraError,
     SingularMatrixError,
 )
-from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, unit_vec, vec_add, zero_vec
+from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, unit_vec, zero_vec
 
-from helpers import (NotDerivationError, ad_matrix, reference_is_derivation,
-                     semidirect_with_derivation)
+from helpers import (NotDerivationError, ad_matrix, apply, center, col, from_flat,
+                     reference_is_derivation, semidirect_with_derivation, vec_add, zeros)
 
 F = Fraction
 
@@ -282,9 +282,9 @@ def test_lower_central_series_non_nilpotent(example1):
 
 
 def test_center(example1):
-    assert abelian(3).center() == Subspace.full(3)
-    assert heisenberg3().center() == Subspace.from_rows([unit_vec(3, 2)], 3)
-    c = example1.center()
+    assert center(abelian(3)) == Subspace.full(3)
+    assert center(heisenberg3()) == Subspace.from_rows([unit_vec(3, 2)], 3)
+    c = center(example1)
     assert c.dim == 6
     v2 = Subspace.from_rows([unit_vec(16, k) for k in range(10, 16)], 16)
     assert c == v2
@@ -292,12 +292,12 @@ def test_center(example1):
 
 def test_ad(example1):
     h3 = heisenberg3()
-    assert ad_matrix(h3, zero_vec(3)) == Matrix.zeros(3, 3)
+    assert ad_matrix(h3, zero_vec(3)) == zeros(3, 3)
     ad1 = ad_matrix(h3, unit_vec(3, 0))
-    assert ad1.apply(unit_vec(3, 1)) == (0, 0, 1)
-    assert ad1.apply(unit_vec(3, 2)) == (0, 0, 0)
+    assert apply(ad1, unit_vec(3, 1)) == (0, 0, 1)
+    assert apply(ad1, unit_vec(3, 2)) == (0, 0, 0)
     ad_e1 = ad_matrix(example1, unit_vec(16, 0))
-    nonzero_cols = [j for j in range(16) if any(ad_e1.col(j))]
+    nonzero_cols = [j for j in range(16) if any(col(ad_e1, j))]
     assert nonzero_cols == [1, 2, 3, 4, 5]  # e2..e6
 
 
@@ -335,7 +335,7 @@ def test_is_derivation_matches_dense_reference(seed):
             changed = list(flat)
             changed[rng.randrange(n * n)] += _random_coeff(rng) or F(1)
             for entries in (flat, changed):
-                u = Matrix.from_flat(entries, n, n)
+                u = from_flat(entries, n, n)
                 verdict = L.is_derivation(u)
                 assert verdict == reference_is_derivation(L, u), (L.table, entries)
                 verdicts.add(verdict)
@@ -345,7 +345,7 @@ def test_is_derivation_matches_dense_reference(seed):
 
 def test_is_derivation_rejects_wrong_shapes():
     h3 = heisenberg3()
-    for u in (Matrix.zeros(3, 2), Matrix.zeros(2, 3), Matrix.identity(4)):
+    for u in (zeros(3, 2), zeros(2, 3), Matrix.identity(4)):
         with pytest.raises(ValueError):
             h3.is_derivation(u)
         with pytest.raises(ValueError):
@@ -361,7 +361,7 @@ def test_derivation_algebra_heisenberg():
     assert der.dim == 6
     h3 = heisenberg3()
     for flat in der.basis_rows():
-        assert h3.is_derivation(Matrix.from_flat(flat, 3, 3))
+        assert h3.is_derivation(from_flat(flat, 3, 3))
 
 
 def test_derivation_algebra_example1(example1):
@@ -419,16 +419,16 @@ def test_semidirect_with_grading_derivation(example1):
     assert td.dim == 17
     assert td.jacobi_defect() == []
     for i in range(16):
-        expect = tuple(D.col(i)) + (F(0),)
+        expect = tuple(col(D, i)) + (F(0),)
         assert td.bracket(unit_vec(17, 16), unit_vec(17, i)) == expect
-    assert td.center().dim == 0
+    assert center(td).dim == 0
 
 
 def test_semidirect_with_zero_derivation():
     h3 = heisenberg3()
-    ext = semidirect_with_derivation(h3, Matrix.zeros(3, 3))
+    ext = semidirect_with_derivation(h3, zeros(3, 3))
     assert ext.dim == 4
-    assert ext.center().contains(unit_vec(4, 3))
+    assert center(ext).contains(unit_vec(4, 3))
 
 
 def test_semidirect_rejects_non_derivation():
@@ -449,7 +449,7 @@ def test_change_of_basis_swap():
 
 def test_change_of_basis_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        heisenberg3().change_of_basis(Matrix.zeros(3, 3))
+        heisenberg3().change_of_basis(zeros(3, 3))
 
 
 def test_change_of_basis_preserves_series(example1):
@@ -464,3 +464,20 @@ def test_change_of_basis_preserves_series(example1):
     conj = example1.change_of_basis(p)
     assert conj.jacobi_defect() == []
     assert conj.lower_central_series().dims == (16, 6, 0)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_bracket_span_matches_dense_reference(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(30):
+        L = _random_table(rng)
+        n = L.dim
+        spans = [Subspace.from_rows([[_random_coeff(rng) if rng.random() < 0.5 else 0
+                                      for _ in range(n)] for _ in range(rng.randint(0, n))], n)
+                 for _ in range(2)]
+        spans.append(Subspace.full(n))
+        for a in spans:
+            for b in spans:
+                want = Subspace.from_rows([_ref_bracket(L, x, y) for x in a.basis_rows()
+                                           for y in b.basis_rows()], n)
+                assert L.bracket_span(a, b) == want

@@ -9,15 +9,16 @@ from carnot.linalg import (
     RowReducer,
     Subspace,
     invert,
-    nullspace,
     quotient_basis,
     rat,
-    rref,
+    residual,
     solution_space,
     solve_affine,
     unit_vec,
     zero_vec,
 )
+
+from helpers import apply, center, matmul, nullspace, rref, zeros
 
 F = Fraction
 
@@ -70,7 +71,7 @@ def test_rref_idempotent_on_seeded_randoms():
 
 def test_nullspace_identity_and_zero():
     assert nullspace(Matrix.identity(3)).dim == 0
-    z = nullspace(Matrix.zeros(2, 2))
+    z = nullspace(zeros(2, 2))
     assert z == Subspace.full(2)
 
 
@@ -81,7 +82,7 @@ def test_nullspace_single_row():
     assert ns.contains([0, 0, 1])
     m = M([[1, 1, 0]])
     for row in ns.basis_rows():
-        assert m.apply(row) == (F(0),)
+        assert apply(m, row) == (F(0),)
 
 
 def test_subspace_sum_idempotent_and_unit_spans():
@@ -121,7 +122,7 @@ def _intersect_oracle(a: Subspace, b: Subspace) -> Subspace:
     cols = []
     for k in range(n):
         cols.append([row[k] for row in arows] + [-row[k] for row in brows])
-    system = Matrix.from_rows(cols, len(arows) + len(brows)) if cols else Matrix.zeros(0, len(arows) + len(brows))
+    system = Matrix.from_rows(cols, len(arows) + len(brows)) if cols else zeros(0, len(arows) + len(brows))
     ker = nullspace(system)
     out = []
     for coeffs in ker.basis_rows():
@@ -168,7 +169,7 @@ def test_solve_affine_underdetermined():
     assert sol.particular == (F(2), F(0))
     assert sol.homogeneous == span([[1, -1]], 2)
     # substitute back
-    assert M([[1, 1]]).apply(sol.particular) == (F(2),)
+    assert apply(M([[1, 1]]), sol.particular) == (F(2),)
 
 
 def test_solve_affine_inconsistent():
@@ -182,12 +183,12 @@ def test_solve_affine_random_consistency():
         n = rng.randint(1, 5)
         a = M([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)], n)
         x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        b = a.apply(x0)
+        b = apply(a, x0)
         sol = solve_affine(a, b)
         assert sol is not None  # consistent by construction
-        assert a.apply(sol.particular) == b
+        assert apply(a, sol.particular) == b
         for h in sol.homogeneous.basis_rows():
-            assert a.apply(h) == zero_vec(m)
+            assert apply(a, h) == zero_vec(m)
         assert sol.homogeneous == nullspace(a)
 
 
@@ -195,9 +196,9 @@ def test_quotient_basis():
     whole = span([unit_vec(2, 0), unit_vec(2, 1)], 2)
     sub = span([unit_vec(2, 0)], 2)
     assert quotient_basis(whole, whole) == []
-    assert quotient_basis(Subspace.zero(2), sub) == [unit_vec(2, 0)]
+    assert quotient_basis(Subspace.zero(2), sub) == [((0, F(1)),)]
     ext = quotient_basis(sub, whole)
-    assert ext == [unit_vec(2, 1)]
+    assert ext == [((1, F(1)),)]
     with pytest.raises(ValueError):
         quotient_basis(span([unit_vec(2, 1)], 2), sub)
 
@@ -206,10 +207,11 @@ def test_quotient_functionals_cut_out_subspace():
     s = span([[1, 2, 0], [0, 0, 1]], 3)
     fns = s.quotient_functionals()
     assert len(fns) == 1
+    assert fns == [{1: F(1), 0: F(-2)}]
     for row in s.basis_rows():
-        assert all(sum(f[k] * row[k] for k in range(3)) == 0 for f in fns)
+        assert all(sum(c * row[k] for k, c in f.items()) == 0 for f in fns)
     v = (F(0), F(1), F(0))  # not in s
-    assert any(sum(f[k] * v[k] for k in range(3)) != 0 for f in fns)
+    assert any(sum(c * v[k] for k, c in f.items()) != 0 for f in fns)
 
 
 def _dense_rref_oracle(rows, cols):
@@ -265,7 +267,7 @@ def test_invert():
     m = M([[2, 1], [1, 1]])
     mi = invert(m)
     assert mi is not None
-    assert m @ mi == Matrix.identity(2)
+    assert matmul(m, mi) == Matrix.identity(2)
     assert invert(M([[1, 2], [2, 4]])) is None
 
 
@@ -343,8 +345,8 @@ def test_nullspace_matches_reference_route_on_seeded_systems():
         assert red.nullspace_rows() == ref_nullspace_rows(red)
         want = ref_solution_space(fed, width)
         got = solution_space(fed, width)
-        assert got.basis.entries == want.basis.entries
-        assert all(type(x) is F for row in got.basis.entries for x in row)
+        assert got.rows == want.rows
+        assert all(type(x) is F and x for row in got.rows for _, x in row)
         assert nullspace(M(rows, width)) == want
     assert kinds == {list, dict}
 
@@ -360,9 +362,8 @@ def _ref_center_rows(L):
 def test_derivations_and_center_match_reference_route(name):
     L = catalog.get(name).algebra
     n = L.dim
-    assert L.derivation_algebra().basis.entries == \
-        ref_solution_space(L.leibniz_rows(), n * n).basis.entries
-    assert L.center().basis.entries == ref_solution_space(_ref_center_rows(L), n).basis.entries
+    assert L.derivation_algebra().rows == ref_solution_space(L.leibniz_rows(), n * n).rows
+    assert center(L).rows == ref_solution_space(_ref_center_rows(L), n).rows
 
 
 def test_solution_space_edges():
@@ -387,7 +388,7 @@ def test_string_zero_entries_are_zero():
     # it is stored as a pivot with lead 0
     red = RowReducer(3)
     assert red.add({0: "0", 1: "1"})
-    assert red.canonical_rows() == [(F(0), F(1), F(0))]
+    assert red.echelon() == {1: ((1, F(1)),)}
     assert not red.add(["0", "-2", "0"])
     assert rref(M([["0", "0", "1"], ["0", "2", "0"]]))[0] == M([[0, 1, 0], [0, 0, 1]])
     assert nullspace(M([["0", "1", "0"]])) == span([unit_vec(3, 0), unit_vec(3, 2)], 3)
@@ -398,3 +399,34 @@ def test_solution_space_string_zero_entries():
     assert solution_space([["0", "0", "0"]], 3) == Subspace.full(3)
     # a string zero out of range is a zero, not a range error
     assert solution_space([{7: "0"}], 2) == Subspace.full(2)
+
+
+def test_subspace_rows_are_sparse_canonical():
+    s = span([[0, 2, 4, 0], [0, 0, 0, 3], [0, 1, 2, 5]], 4)
+    assert s.rows == (((1, F(1)), (2, F(2))), ((3, F(1)),))
+    assert s.basis_rows() == ((0, 1, 2, 0), (0, 0, 0, 1))
+    assert Subspace.full(2).rows == (((0, F(1)),), ((1, F(1)),))
+    assert s.reduce_mod([1, 1, 2, 7]) == {0: F(1)}
+    assert s.reduce_mod({1: 3, 2: 6}) == {}
+    with pytest.raises(ValueError, match="length mismatch"):
+        s.reduce_mod([1, 2])
+
+
+def test_residual_in_either_lead_order():
+    # the residual is v minus its projection on the pivots of a reduced
+    # echelon form: zero at every pivot, the same class modulo the span
+    rng = random.Random(61)
+    for _ in range(200):
+        rows, fed, width = _random_system(rng)
+        v = {c: F(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(width) if rng.random() < 0.6}
+        sub = Subspace.from_rows(fed, width)
+        for reverse in (False, True):
+            red = RowReducer(width, reverse=reverse)
+            for row in fed:
+                red.add(row)
+            echelon = red.echelon()
+            assert all(row[-1 if reverse else 0] == (p, 1) for p, row in echelon.items())
+            res = residual(v, echelon)
+            assert all(x and p not in echelon for p, x in res.items())
+            assert sub.contains({c: v.get(c, 0) - res.get(c, 0) for c in range(width)})
+            assert (not res) == sub.contains(v)

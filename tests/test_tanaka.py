@@ -7,8 +7,7 @@ import pytest
 from carnot import catalog
 from carnot.grading import coordinate_layers, grading_derivation, verify_stratification
 from carnot.liealg import LieAlgebra
-from carnot.linalg import (Matrix, Subspace, is_zero_vec, rref, solution_space, solve_affine,
-                           unit_vec, zero_vec)
+from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, solve_affine, unit_vec, zero_vec
 from carnot.tanaka import (
     AdaptedFrame,
     ComponentNotComputedError,
@@ -23,7 +22,8 @@ from carnot.tanaka import (
     ultrarigidity_check,
 )
 
-from helpers import hom_blocks, hom_from_blocks
+from helpers import (apply, from_flat, hom_blocks, hom_from_blocks, nullspace, pair_rows,
+                     random_two_step, rref, two_step_dual, two_step_g0_dim, two_step_type, zeros)
 
 F = Fraction
 
@@ -190,11 +190,11 @@ def test_g0_elements_are_block_diagonal_derivations(ex1):
     L, s = ex1
     g0 = degree_zero_derivations(L, s)
     for flat in g0.basis_rows():
-        u = Matrix.from_flat(flat, 16, 16)
+        u = from_flat(flat, 16, 16)
         assert L.is_derivation(u)
         for v in s.layers:
             for row in v.basis_rows():
-                assert v.contains(u.apply(row))
+                assert v.contains(apply(u, row))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def test_prolong_stores_canonical_bases():
     result = prolong(entry.algebra, strat_of(entry), 3)
     for basis in result.bases:
         flats = tuple(el.flatten() for el in basis)
-        assert Subspace.from_rows(flats, len(flats[0])).basis.entries == flats
+        assert Subspace.from_rows(flats, len(flats[0])).basis_rows() == flats
 
 
 def test_prolong_heisenberg_g1_dim_against_hand_system(h3_prolonged):
@@ -415,12 +415,11 @@ def _brute_g1_dim_two_step(L, layer_dims):
         u2([X, Y]) = u1(X)(Y) - u1(Y)(X)      for X, Y in V1,
         0 = u1(X)(Z) + [X, u2(Z)]             for X in V1, Z in V2.
     """
-    from carnot.linalg import nullspace
 
     n = L.dim
     d1, d2 = layer_dims
     g0 = L.derivation_algebra().intersect(block_diagonal_span(layer_dims))
-    g0_mats = [Matrix.from_flat(flat, n, n) for flat in g0.basis_rows()]
+    g0_mats = [from_flat(flat, n, n) for flat in g0.basis_rows()]
     m = len(g0_mats)
     width = d1 * m + d2 * d1  # u1 coords then u2 coords (column-major per source)
 
@@ -570,7 +569,7 @@ def _ref_zero_element(frame, k, dims):
     for l in range(1, frame.step + 1):
         t = k - l
         td = frame.layer_dim(-t) if t < 0 else dims[t]
-        blocks.append(Matrix.zeros(td, frame.layer_dim(l)))
+        blocks.append(zeros(td, frame.layer_dim(l)))
     return hom_from_blocks(k, tuple(blocks))
 
 
@@ -593,7 +592,7 @@ def _ref_apply_value(result, w, deg, coords, memo):
     coordinates when deg < 0, basis coordinates when deg >= 0)."""
     out_deg = w.degree + deg
     if deg < 0:
-        return out_deg, hom_blocks(w)[-deg - 1].apply(coords)
+        return out_deg, apply(hom_blocks(w)[-deg - 1], coords)
     acc = _ref_zero_element(result.frame, out_deg, _ref_dims_view(result, max(out_deg, 0)))
     for r, cr in enumerate(coords):
         if cr:
@@ -630,7 +629,7 @@ def ref_bracket(result, u, v, memo=None):
             col = tuple(a - b for a, b in zip(val1, val2))
             cols.append(col if col else zero_vec(td))
         if td == 0:
-            blocks.append(Matrix.zeros(0, frame.layer_dim(l)))
+            blocks.append(zeros(0, frame.layer_dim(l)))
         else:
             blocks.append(Matrix.from_rows(cols, td).transpose())
     out = hom_from_blocks(K, tuple(blocks))
@@ -767,7 +766,7 @@ def test_coordinates_in_vanishing_component(read_off_towers):
     result = read_off_towers["free(2,3)"]
     assert result.dims[4] == 0
     shapes = [(result.component_dim(4 - l), result.frame.layer_dim(l)) for l in (1, 2, 3)]
-    zero = hom_from_blocks(4, tuple(Matrix.zeros(r, c) for r, c in shapes))
+    zero = hom_from_blocks(4, tuple(zeros(r, c) for r, c in shapes))
     assert result.coordinates_of(zero) == _ref_coordinates(result, zero) == ()
     nonzero = _with_entry(zero, 5, F(1, 3))
     with pytest.raises(MembershipError):
@@ -847,7 +846,7 @@ def test_ultrarigidity_invariant_under_conjugation(ex1):
         p = Matrix.from_rows(m, 16)
         p_inv = invert(p)
         conj = L.change_of_basis(p)
-        layers = [Subspace.from_rows([p_inv.apply(row) for row in v.basis_rows()], 16)
+        layers = [Subspace.from_rows([apply(p_inv, row) for row in v.basis_rows()], 16)
                   for v in s.layers]
         strat = verify_stratification(conj, layers)
         v = ultrarigidity_check(conj, strat)
@@ -863,3 +862,32 @@ def test_hom0_to_endo_roundtrip(h3, h3_prolonged):
         endo = hom0_to_endo(frame, el)
         assert g0.contains(endo.flatten())
         assert L.is_derivation(endo)
+
+
+def _assert_dual_pair(L):
+    m, k = two_step_type(L)
+    dual = two_step_dual(L)
+    assert two_step_type(dual) == (m, comb(m, 2) - k)
+    # the dual of the dual has the same bracket kernel as L
+    width = comb(m, 2)
+    assert Subspace.from_rows(pair_rows(two_step_dual(dual)), width) == \
+        Subspace.from_rows(pair_rows(L), width)
+    g0 = two_step_g0_dim(L)
+    assert two_step_g0_dim(dual) == g0
+    return g0
+
+
+@pytest.mark.parametrize("name,g0", [("example1_16", 1), ("heisenberg_2n1(3)", 22),
+                                     ("free_step2_rank3", 9), ("abelian(3)", 9)])
+def test_two_step_duality_preserves_g0(name, g0):
+    # g_0 of a 2-step algebra is the stabiliser in gl(m) of the bracket's
+    # kernel K, and the stabiliser of K^perp is its transpose: an oracle
+    # independent of the tower code
+    assert _assert_dual_pair(catalog.get(name).algebra) == g0
+
+
+@pytest.mark.parametrize("m,k", [(4, 2), (5, 3), (6, 3), (5, 4), (6, 5)])
+def test_two_step_duality_on_seeded_types(m, k):
+    rng = random.Random(100 * m + k)
+    for _ in range(2):
+        _assert_dual_pair(random_two_step(m, k, rng))
