@@ -17,7 +17,10 @@ changes and witnesses; hot paths read its nonzero entries
 One kernel does the elimination: ``RowReducer`` keeps sparse integer
 pivot rows.  Every canonical basis (``Subspace.from_rows``,
 ``solution_space``) is read off its back-substituted rows, with no dense
-pass and no second reduction.
+pass and no second reduction.  ``solution_space``, the one entry for
+``Der`` and every g_k, feeds its rows shortest first (Markowitz's
+sparsest-row rule): rows that reduce to zero and fill-in then cost less.
+The canonical basis is unique, so the order cannot change an answer.
 """
 
 from __future__ import annotations
@@ -140,11 +143,14 @@ class RowReducer:
         denom_lcm = 1
         for c, v in pairs:
             # test again after coercion: the string "0" is truthy
-            if v and (x := rat(v)):
+            if v and (x := v if isinstance(v, Fraction) else rat(v)):
                 if not 0 <= c < width:
                     raise ValueError(f"column {c} out of range 0..{width - 1}")
                 items[c] = x
-                denom_lcm = math.lcm(denom_lcm, x.denominator)
+                if denom_lcm % x.denominator:
+                    denom_lcm = math.lcm(denom_lcm, x.denominator)
+        if denom_lcm == 1:
+            return _reduce_content({c: v.numerator for c, v in items.items()})
         return _reduce_content({c: v.numerator * (denom_lcm // v.denominator)
                                 for c, v in items.items()})
 
@@ -387,9 +393,13 @@ def solution_space(rows: Iterable, width: int) -> Subspace:
     :meth:`RowReducer.sparse_nullspace` have a leading 1 in their own free
     column and zeros in every other one: they already are the canonical
     RREF basis (which is unique), and no second reduction is needed.
+
+    Rows are fed shortest first (a stable sort: equal lengths keep their
+    order).  The canonical basis depends only on their span, so the order
+    changes the work, never the answer.
     """
     red = RowReducer(width, reverse=True)
-    for row in rows:
+    for row in sorted(rows, key=len):
         red.add(row)
     return Subspace(width, tuple(tuple(sorted(sol.items())) for sol in red.sparse_nullspace()))
 

@@ -17,8 +17,8 @@ rows come from ``liealg._leibniz_system``, the one Leibniz assembler.
 
 Storage is sparse from the kernel on: each g_k basis vector is a
 ``HomElement`` holding the nonzero entries of its flattening plus its
-block shapes, read straight off the reduced rows of a ``reverse``
-``RowReducer`` in canonical reduced row echelon form.  No dense block is
+block shapes: a row of the canonical reduced row echelon basis that
+``linalg.solution_space`` returns, taken as it is.  No dense block is
 built.  So membership is a pivot read-off plus an exact residual check,
 and the bracket is a table of structure constants, the coordinates of
 [b^k_i, b^m_j] in the stored basis of g_{k+m}, filled on first use from
@@ -45,13 +45,13 @@ from .liealg import LieAlgebra, _leibniz_system
 from .linalg import (
     _ZERO,
     Matrix,
-    RowReducer,
     Subspace,
     Vec,
     _dense_vec,
     _sparse_cols,
     invert,
     rat,
+    solution_space,
     # not called here (coordinates are read off at pivots), but the
     # benchmark self-test bench/selftest.py checks that its tracer wraps
     # carnot.tanaka.solve_affine, so the name stays until that test changes
@@ -200,7 +200,7 @@ def _solve_component(frame: AdaptedFrame, k: int,
                      bases: Sequence[Sequence[HomElement]],
                      dims: Sequence[int]) -> list[HomElement]:
     """Nullspace of the degree-k Leibniz system, as HomElements in
-    canonical form, read straight off the sparse reduced rows.
+    canonical form: the sparse rows of ``solution_space``.
 
     ``bases``/``dims`` describe the previously computed components
     g_0..g_{k-1} (both empty for k = 0).
@@ -249,10 +249,8 @@ def _solve_component(frame: AdaptedFrame, k: int,
             for q, x in action(t, r, b):
                 yield q, col, x
 
-    red = RowReducer(total, reverse=True)
-    for row in _leibniz_system(frame.graded._ad, frame.dim, cols, terms):
-        red.add(row)
-    return [HomElement.from_nonzeros(k, shapes, sol) for sol in red.sparse_nullspace()]
+    return [HomElement(k, shapes, row) for row in
+            solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total).rows]
 
 
 def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:

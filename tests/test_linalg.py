@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from carnot.linalg import (
 )
 
 from helpers import apply, center, matmul, nullspace, rref, zeros
+from propsuites import random_unimodular
 
 F = Fraction
 
@@ -430,3 +432,142 @@ def test_residual_in_either_lead_order():
             assert all(x and p not in echelon for p, x in res.items())
             assert sub.contains({c: v.get(c, 0) - res.get(c, 0) for c in range(width)})
             assert (not res) == sub.contains(v)
+
+
+# -- row order and the integral fast path of RowReducer._to_sparse_int ----------
+
+def _mixed_scalar(rng):
+    """A nonzero exact scalar of one of the accepted kinds."""
+    p, q = rng.choice([-5, -3, -2, -1, 1, 2, 4, 7]), rng.randint(2, 6)
+    return rng.choice([p, F(p), F(p, q), f"{p}/{q}"])
+
+
+def _mixed_system(rng):
+    """Rows of a seeded sparse system whose entries mix int, integral and
+    non-integral Fractions and "p/q" strings (zeros as 0, F(0) or "0"),
+    fed as dense lists or as mappings, which may carry explicit zeros;
+    with dependent rows, and the dense rows as Fractions."""
+    width = rng.randint(1, 12)
+    rows, fed = [], []
+    for _ in range(rng.randint(0, 14)):
+        if rows and rng.random() < 0.25:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            entries = {j: x + c * b[j] for j, x in enumerate(a) if x + c * b[j]}
+            entries = {j: rng.choice([x, str(x)]) for j, x in entries.items()}
+        else:
+            entries = {j: _mixed_scalar(rng) for j in range(width) if rng.random() < 0.3}
+        if rng.random() < 0.5:
+            row = [entries.get(j, rng.choice([0, F(0), "0"])) for j in range(width)]
+        else:
+            row = dict(entries)
+            for j in rng.sample(range(width), rng.randint(0, min(2, width))):
+                row.setdefault(j, rng.choice([0, F(0), "0"]))
+        rows.append(tuple(rat(entries.get(j, 0)) for j in range(width)))
+        fed.append(row)
+    return rows, fed, width
+
+
+def test_solution_space_independent_of_row_order():
+    rng = random.Random(1957)
+    kinds = set()
+    for _ in range(300):
+        rows, fed, width = _mixed_system(rng)
+        kinds.update(type(x) for row in fed for x in (row.values() if isinstance(row, dict) else row))
+        want = nullspace(M(rows, width))
+        assert want == ref_solution_space(fed, width)
+        for _ in range(4):
+            rng.shuffle(fed)
+            assert solution_space(fed, width) == want
+    assert kinds == {int, F, str}
+
+
+def _conjugated_example1(seed):
+    L = catalog.get("example1_16").algebra
+    return L.change_of_basis(random_unimodular(L.dim, random.Random(seed)))
+
+
+def test_derivations_independent_of_leibniz_row_order():
+    L = _conjugated_example1(13)
+    n2 = L.dim ** 2
+    rows = list(L.leibniz_rows())
+    want = nullspace(M([[row.get(c, 0) for c in range(n2)] for row in rows], n2))
+    assert want.dim == 61
+    assert L.derivation_algebra() == want
+    rng = random.Random(14)
+    for _ in range(3):
+        rng.shuffle(rows)
+        assert solution_space(rows, n2) == want
+
+
+def test_solution_space_feeds_rows_shortest_first(monkeypatch):
+    # the rows reach the reducer sorted by length (Markowitz's rule), and
+    # the Leibniz rows are not generated in that order
+    L = _conjugated_example1(13)
+    n2 = L.dim ** 2
+    lengths = []
+    real_add = RowReducer.add
+
+    def add(self, row):
+        if self.width == n2:
+            lengths.append(len(row))
+        return real_add(self, row)
+
+    with monkeypatch.context() as m:
+        m.setattr(RowReducer, "add", add)
+        assert L.derivation_algebra().dim == 61
+    generated = [len(row) for row in L.leibniz_rows()]
+    assert len(lengths) == len(generated)
+    assert lengths == sorted(generated)
+    assert generated != lengths
+
+
+def _lcm_route(row, width):
+    """The integer row of the coercion before the fast path: ``rat`` and
+    ``math.lcm`` on every nonzero entry, then the content divided out."""
+    pairs = row.items() if isinstance(row, dict) else enumerate(row)
+    items = {c: rat(v) for c, v in pairs if rat(v)}
+    lcm = math.lcm(1, *(x.denominator for x in items.values()))
+    ints = {c: x.numerator * (lcm // x.denominator) for c, x in items.items()}
+    g = math.gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()}
+
+
+def test_to_sparse_int_fast_path_edges():
+    red = RowReducer(3)
+    with pytest.raises(TypeError):
+        red.add([0.5, 0, 0])
+    with pytest.raises(TypeError):
+        red.add({1: 0.5})
+    assert red.add({0: "0", 1: "1"})
+    assert red._pivots == {1: {1: 1}}
+    with pytest.raises(ValueError, match="column 3 out of range 0..2"):
+        red.add({3: 1})
+    with pytest.raises(ValueError, match="column 3 out of range 0..2"):
+        red.add({0: F(1, 2), 3: F(7)})
+    for zero in (0, F(0), "0"):
+        assert not red.add({3: zero})
+    assert red._pivots == {1: {1: 1}}
+
+
+def test_to_sparse_int_matches_lcm_route():
+    # denominators 2, 3 and 6 in every order: the running lcm is skipped
+    # when a denominator already divides it, and all-integral rows take
+    # the numerators directly
+    rows = [{0: F(1, 2), 1: F(1, 3), 2: F(1, 6)},
+            {0: F(5, 6), 1: "1/2", 2: F(4, 3)},
+            [F(7, 6), F(3, 2), 1],
+            {2: F(2, 3), 0: F(-1, 6), 1: F(3, 2)},
+            [F(4), 6, "-10"]]
+    for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 3, 1]):
+        red, ref = RowReducer(3), RowReducer(3)
+        for i in order:
+            assert red._to_sparse_int(rows[i]) == _lcm_route(rows[i], 3)
+            red.add(rows[i])
+            ref.add(_lcm_route(rows[i], 3))
+        assert red._pivots == ref._pivots
+    rng = random.Random(2)
+    for _ in range(200):
+        _, fed, width = _mixed_system(rng)
+        red = RowReducer(width)
+        assert all(red._to_sparse_int(row) == _lcm_route(row, width) for row in fed)

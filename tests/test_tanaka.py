@@ -241,28 +241,25 @@ def test_prolong_heisenberg11_matches_contact_hamiltonian_count():
     ("free_step2_rank3", 2),
 ])
 def test_sparse_bases_equal_dense_solution_space(name, cap, monkeypatch):
-    # record the Leibniz rows each degree feeds its reducer, then solve
-    # the same rows with the dense solution_space; independently of the
-    # elimination order, each stored vector solves every row and the
+    # record the Leibniz rows each degree hands to solution_space, then
+    # solve the same rows with the dense solution_space; independently of
+    # the elimination order, each stored vector solves every row and the
     # count is width - rank from a plain (lowest-lead) reducer
     import carnot.tanaka
     from carnot.linalg import RowReducer
 
     systems = []
+    real = carnot.tanaka.solution_space
 
-    class Recording(RowReducer):
-        def __init__(self, width, reverse=False):
-            super().__init__(width, reverse)
-            systems.append((width, []))
-
-        def add(self, row):
-            systems[-1][1].append(dict(row))
-            return super().add(row)
+    def recording(rows, width):
+        rows = [dict(row) for row in rows]
+        systems.append((width, rows))
+        return real(rows, width)
 
     entry = catalog.get(name)
     s = strat_of(entry)
     with monkeypatch.context() as m:
-        m.setattr(carnot.tanaka, "RowReducer", Recording)
+        m.setattr(carnot.tanaka, "solution_space", recording)
         result = prolong(entry.algebra, s, cap)
     assert len(systems) == len(result.bases)
     for k, ((width, rows), basis) in enumerate(zip(systems, result.bases)):
