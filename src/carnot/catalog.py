@@ -8,22 +8,21 @@ families (``abelian(n)``, ``heisenberg_2n1(n)``) are generated.
 
 from __future__ import annotations
 
+import pkgutil
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Optional
 
 from . import algfile
 from .liealg import LieAlgebra
+from .linalg import Record
 
 
 class UnknownEntryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExpectedFacts:
+class ExpectedFacts(Record):
     """Independently known facts; None where a value is deliberately left
     to be computed rather than asserted."""
 
@@ -34,8 +33,7 @@ class ExpectedFacts:
     stratifiable: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     algebra: LieAlgebra
     declared_layers: Optional[tuple[tuple[int, int], ...]]
@@ -81,7 +79,9 @@ _HEISENBERG_RE = re.compile(r"^heisenberg_2n1\((\d+)\)$")
 
 def _load_fixed(name: str) -> CatalogEntry:
     filename, expected, provenance = _FIXED[name]
-    text = resources.files("carnot").joinpath("data", filename).read_text(encoding="utf-8")
+    # pkgutil rather than importlib.resources, which imports inspect and
+    # ast on Python 3.12 and later: every CLI call reads a data file
+    text = pkgutil.get_data("carnot", f"data/{filename}").decode("utf-8")
     parsed = algfile.parse(text)
     return CatalogEntry(name, parsed.algebra.validated(), parsed.layer_ranges,
                         expected, provenance)

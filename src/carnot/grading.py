@@ -25,7 +25,6 @@ with the verdict over the reals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
@@ -33,6 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 from .liealg import LieAlgebra
 from .linalg import (
     Matrix,
+    Record,
     RowReducer,
     Scalar,
     Subspace,
@@ -75,8 +75,7 @@ class NotNilpotentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(Record):
     """Validated layer decomposition; construct via verify_stratification."""
 
     layers: tuple[Subspace, ...]
@@ -94,8 +93,7 @@ class Stratification:
         return tuple(v.dim for v in self.layers)
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Record):
     """Increasing chain L_1 <= L_2 <= ... <= L_s = whole space."""
 
     terms: tuple[Subspace, ...]
@@ -258,8 +256,7 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
     return GrResult(gr, adapted, strat)
 
 
-@dataclass(frozen=True)
-class StratifiabilityVerdict:
+class StratifiabilityVerdict(Record):
     stratifiable: bool
     witness: Optional[Matrix]
     derived_stratification: Optional[Stratification]

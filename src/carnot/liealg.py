@@ -15,13 +15,13 @@ the blocks of one degree of the tower (``tanaka._solve_component``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Matrix,
+    Record,
     Scalar,
     Subspace,
     Vec,
@@ -81,8 +81,7 @@ def _leibniz_system(ad, n: int, cols: Callable[[int], Sequence[int]],
                     yield row
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """Structure-constant table of a (candidate) Lie algebra.
 
     ``table`` maps ordered basis pairs (i, j), i < j, to the coordinate
@@ -338,8 +337,7 @@ class LieAlgebra:
         return not self.table
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Record):
     """Lower central series: terms gamma_1 > gamma_2 > ...; when the
     algebra is nilpotent the final term is the zero subspace and ``step``
     is the last index with a nonzero term."""

@@ -5,6 +5,11 @@ arbitrary-precision ``Fraction`` entries.  Everything here is exact:
 floats are rejected at construction time and no tolerance appears
 anywhere.
 
+``Record`` is the immutable base of every value class of the package
+(``Matrix``, ``Subspace``, ``LieAlgebra``, ``HomElement``, the verdicts
+and reports): values compared by their fields, with no class decorator
+and nothing generated at import time.
+
 One row format: a sparse row is the tuple of its nonzero
 ``(column, Fraction)`` pairs in ascending columns (``SparseRow``, the
 format of ``tanaka.HomElement.entries``).  A ``Subspace`` keeps its
@@ -27,8 +32,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
@@ -37,6 +42,7 @@ SparseRow = tuple[tuple[int, Fraction], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_setattr = object.__setattr__
 
 
 def rat(x: Scalar) -> Fraction:
@@ -70,20 +76,96 @@ def is_zero_vec(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Record:
+    """An immutable value with named fields.
+
+    A subclass's fields are its own annotated names, in order, and a class
+    attribute of the same name is that field's default.  Instances are
+    built positionally or by keyword; equality holds only between
+    instances of the same class with equal field tuples, the hash is the
+    hash of the field tuple, and the repr is ``Name(field=value, ...)``.
+    Fields can be neither assigned nor deleted.  The values live in the
+    instance ``__dict__``, where a ``functools.cached_property`` may also
+    keep derived data, outside the fields.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # only the names are read: every module defining a record uses
+        # ``from __future__ import annotations``, so no annotation is
+        # evaluated, on any Python version
+        fields = tuple(cls.__annotations__)
+        cls._fields = fields
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._values = staticmethod(lambda obj: (get(obj),))
+        else:
+            cls._values = staticmethod(attrgetter(*fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # through object.__setattr__, like a plain class's __init__: that
+        # keeps CPython's shared-key attribute layout, which touching
+        # ``self.__dict__`` would give up (slower attribute reads)
+        for field, value in zip(fields, args):
+            _setattr(self, field, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The full field tuple of a call with keywords, defaults or a
+        wrong argument count."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} arguments but {len(args)} were given")
+        given = dict(zip(cls._fields, args))
+        for key, value in kwargs.items():
+            if key not in cls._fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in given:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            given[key] = value
+        values = {**cls._defaults, **given}
+        for field in cls._fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+        return tuple(values[field] for field in cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Matrix(Record):
     """Immutable dense matrix of rationals (row-major)."""
 
     rows: int
     cols: int
     entries: tuple[Vec, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple[Vec, ...]) -> None:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix")
+        super().__init__(rows, cols, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Iterable[Scalar]], cols: int | None = None) -> "Matrix":
@@ -268,8 +350,7 @@ def residual(v: Mapping[int, Fraction], echelon: Mapping[int, SparseRow]) -> dic
     return {col: x for col, x in out.items() if x}
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A linear subspace of Q^n, stored as its canonical RREF basis: one
     sparse row per pivot column, in ascending pivot order, each with 1 at
     its first (pivot) column and 0 at every other pivot.

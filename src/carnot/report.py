@@ -11,12 +11,11 @@ tower computed; :func:`report_lines` renders each key once, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import grading, tanaka
 from .liealg import JacobiDefect, LieAlgebra, NotLieAlgebraError, SeriesReport
-from .linalg import Vec
+from .linalg import Record, Vec
 
 DEFAULT_PROLONG_CAP = 4
 
@@ -70,8 +69,7 @@ def fmt_layers(s: grading.Stratification) -> str:
     return " | ".join(rendered)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record):
     """Everything a report says about one algebra.
 
     ``stratifiable`` and ``layers`` are the rendered report values.

@@ -34,7 +34,6 @@ conjugated back at the boundary.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
@@ -45,6 +44,7 @@ from .liealg import LieAlgebra, _leibniz_system
 from .linalg import (
     _ZERO,
     Matrix,
+    Record,
     Subspace,
     Vec,
     _dense_vec,
@@ -67,8 +67,7 @@ class MembershipError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(Record):
     """An algebra re-expressed in a basis adapted to its stratification."""
 
     algebra: LieAlgebra
@@ -123,8 +122,7 @@ class AdaptedFrame:
         return 0
 
 
-@dataclass(frozen=True)
-class HomElement:
+class HomElement(Record):
     """An element of g_k as a sparse vector with block shapes.
 
     Block l (l = 1..s) has shape ``shapes[l-1]`` and maps layer-l
@@ -171,7 +169,7 @@ class HomElement:
     @cached_property
     def _images(self) -> dict[int, dict[int, Fraction]]:
         """Every nonzero column, indexed once on first use and kept in the
-        instance ``__dict__``, outside the dataclass fields."""
+        instance ``__dict__``, outside the record's fields."""
         starts = list(accumulate((r * c for r, c in self.shapes), initial=0))
         layer_starts = list(accumulate((c for _, c in self.shapes), initial=0))
         out: dict[int, dict[int, Fraction]] = {}
@@ -291,8 +289,7 @@ def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Su
     return Subspace.from_rows(rows, frame.dim ** 2)
 
 
-@dataclass(frozen=True)
-class ProlongationResult:
+class ProlongationResult(Record):
     """Computed prolongation components g_0..g_K with witness bases.
 
     ``finite`` is True when some component vanished (every later one
@@ -302,7 +299,7 @@ class ProlongationResult:
     ``bracket`` reads a table of basis structure constants, and
     ``coordinates_of`` reads the pivot column and the nonzero entries of
     each stored basis vector, per degree.  Both are filled lazily and kept
-    in the instance ``__dict__``, outside the dataclass fields, so equality
+    in the instance ``__dict__``, outside the record's fields, so equality
     and hashing see only the tower itself.
     """
 
@@ -473,8 +470,7 @@ def degree_zero_derivations(L: LieAlgebra, s: Stratification) -> Subspace:
     return endomorphism_span(result.frame, result.bases[0])
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(Record):
     """Infinitesimal rigidity report.
 
     ``infinitesimally_ultrarigid`` means the strata-preserving

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +240,69 @@ def test_usage_error_exits_2():
         [sys.executable, "-m", "carnot.cli", "frobnicate"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_startup_imports_no_introspection_modules():
+    # a report subprocess pays for every module it imports; dataclasses
+    # alone pulls in inspect, ast, dis and tokenize.  Modules loaded before
+    # the import (site .pth hooks) do not count, as in the CI stdlib step.
+    script = """
+import io, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from carnot.cli import main
+with redirect_stdout(io.StringIO()):
+    assert main(["report", "example1_16"]) == 0
+heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+print(" ".join(sorted(heavy & (set(sys.modules) - before))))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+# The paper's certificate at dimension 9: a Carnot algebra N of type (5,4)
+# with g_0 = span(D) and g_1 = 0, and a nilpotent, non-stratifiable G
+# (N without layers, plus [e1,e6] = e7) with gr(G) = N.  e6 occurs only in
+# [e1,e2], so the extra bracket keeps Jacobi, and [V_1, V_2] lands in
+# filtration level 3, where gr does not see it.
+_N9 = """dim 9
+layers 1..5; 6..9
+bracket 1 2 = 6
+bracket 1 4 = 8
+bracket 1 5 = 7
+bracket 2 5 = 9
+bracket 3 4 = 7 + -1*8 + 9
+bracket 3 5 = 7
+bracket 4 5 = 9
+"""
+_G9 = _N9.replace("layers 1..5; 6..9\n", "") + "bracket 1 6 = 7\n"
+
+
+def test_dimension_9_certificate(capsys, tmp_path):
+    n9, g9 = tmp_path / "n9.alg", tmp_path / "g9.alg"
+    n9.write_text(_N9, encoding="utf-8")
+    g9.write_text(_G9, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "report", str(n9))
+    assert code == 0
+    lines = out.splitlines()
+    grading = [0] * 81
+    for i in range(9):
+        grading[10 * i] = 1 if i < 5 else 2
+    for line in ("series_dims: 9 4 0", "stratifiable: true", "layer_dims: 5 4", "g0_dim: 1",
+                 "g0_basis[0]: " + " ".join(map(str, grading)),
+                 "prolongation_dims: 1 0", "prolongation_finite: true",
+                 "ultrarigid: true", "g1_trivial: true"):
+        assert line in lines
+    code, out, _ = run_cli(capsys, "report", str(g9))
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("jacobi: ok", "nilpotent: true", "step: 3", "series_dims: 9 4 1 0",
+                 "stratifiable: false"):
+        assert line in lines
+    code, out, _ = run_cli(capsys, "gr", str(g9), "--horizontal", "1..5")
+    assert code == 0
+    assert out == _N9

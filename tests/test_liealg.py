@@ -390,7 +390,7 @@ def test_derivation_algebra_and_series_computed_once(example1):
     assert conj.derivation_algebra() is conj.derivation_algebra()
     assert conj.lower_central_series() is conj.lower_central_series()
     assert conj.derivation_algebra() == example1.derivation_algebra()
-    # the caches live outside the dataclass fields
+    # the caches live outside the record fields
     assert conj == example1 and hash(conj) == hash(example1)
 
 

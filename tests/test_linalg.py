@@ -571,3 +571,127 @@ def test_to_sparse_int_matches_lcm_route():
         _, fed, width = _mixed_system(rng)
         red = RowReducer(width)
         assert all(red._to_sparse_int(row) == _lcm_route(row, width) for row in fed)
+
+
+# -- Record: the immutable base of the value classes ---------------------------
+
+def _record_classes():
+    from carnot import grading, liealg, report, tanaka
+    return [Matrix, Subspace, liealg.LieAlgebra, liealg.SeriesReport,
+            grading.Stratification, grading.Filtration, grading.StratifiabilityVerdict,
+            catalog.CatalogEntry, catalog.ExpectedFacts, report.Analysis,
+            tanaka.AdaptedFrame, tanaka.HomElement, tanaka.ProlongationResult,
+            tanaka.RigidityVerdict]
+
+
+def _frozen_reference(cls):
+    """A frozen dataclass with the annotations and defaults of ``cls``
+    (and its own ``__repr__``, if it defines one)."""
+    import dataclasses
+
+    namespace = {"__annotations__": dict(cls.__annotations__), "__qualname__": cls.__qualname__}
+    namespace.update((k, v) for k, v in vars(cls).items() if k in cls.__annotations__)
+    if "__repr__" in vars(cls):
+        namespace["__repr__"] = vars(cls)["__repr__"]
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def _sample_values(cls, salt=0):
+    if cls is Matrix:
+        return (1, 2, ((F(1), F(salt, 3)),))
+    pool = [F(salt, 2), (salt, "x"), "y", None, ((0, F(1)),), True, 7]
+    return tuple(pool[(i + salt) % len(pool)] for i in range(len(cls.__annotations__)))
+
+
+@pytest.mark.parametrize("cls", _record_classes(), ids=lambda c: c.__name__)
+def test_record_matches_frozen_dataclass(cls):
+    import dataclasses
+
+    ref = _frozen_reference(cls)
+    assert cls._fields == tuple(f.name for f in dataclasses.fields(ref))
+    for salt in range(3):
+        values = _sample_values(cls, salt)
+        a, b, r = cls(*values), cls(*values), ref(*values)
+        assert repr(a) == repr(r)
+        assert a == b and not (a != b) and hash(a) == hash(b) == hash(r)
+        assert a.__eq__(r) is NotImplemented and a != r
+        assert cls(**dict(zip(cls._fields, values))) == a
+        other = cls(*_sample_values(cls, salt + 1))
+        assert (a == other) == (r == ref(*_sample_values(cls, salt + 1))) is False
+        for name in (cls._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert tuple(getattr(a, name) for name in cls._fields) == values
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(**dict(zip(cls._fields[1:], values[1:])))
+        with pytest.raises(TypeError):
+            cls(*values, 0)
+        with pytest.raises(TypeError):
+            cls(*values, **{cls._fields[0]: values[0]})
+        with pytest.raises(TypeError):
+            cls(*values, unknown=0)
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{cls._fields[-1]: values[-1], "unknown": 0})
+
+
+def test_records_are_the_fourteen_value_classes():
+    from carnot.linalg import Record
+
+    assert set(Record.__subclasses__()) == set(_record_classes())
+
+
+def test_record_equal_fields_in_different_classes_are_unequal():
+    from carnot.grading import Filtration, StratifiabilityVerdict, Stratification
+    from carnot.tanaka import RigidityVerdict
+
+    layers = (Subspace.full(2),)
+    assert Stratification(layers) != Filtration(layers)
+    assert Stratification(layers).__eq__(Filtration(layers)) is NotImplemented
+    assert hash(Stratification(layers)) == hash(Filtration(layers)) == hash((layers,))
+    assert RigidityVerdict(1, True, None) != StratifiabilityVerdict(1, True, None)
+    classes = _record_classes()
+    for cls in classes:
+        for other in classes:
+            # Matrix checks its shape, so it only takes its own sample values
+            if other not in (cls, Matrix) and len(other._fields) == len(cls._fields):
+                values = _sample_values(cls)
+                assert cls(*values) != other(*values)
+
+
+def test_record_keywords_and_defaults():
+    from carnot.catalog import ExpectedFacts
+    from carnot.tanaka import HomElement
+
+    facts = ExpectedFacts(step=2, layer_dims=None)
+    assert facts == ExpectedFacts(2, None, None, None, None)
+    assert repr(facts) == ("ExpectedFacts(step=2, layer_dims=None, g0_dim=None, "
+                           "ultrarigid=None, stratifiable=None)")
+    assert ExpectedFacts(2, (1, 1), stratifiable=True).stratifiable is True
+    with pytest.raises(TypeError, match="missing required argument: 'layer_dims'"):
+        ExpectedFacts(step=2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'steps'"):
+        ExpectedFacts(steps=2, layer_dims=None)
+    with pytest.raises(TypeError, match="multiple values for argument 'step'"):
+        ExpectedFacts(2, None, step=3)
+    u = HomElement(entries=((0, F(1)),), shapes=((1, 2),), degree=-1)
+    assert u == HomElement(-1, ((1, 2),), ((0, F(1)),))
+    # a cached index lives in the instance __dict__, outside the fields
+    assert u.image(0) == {0: F(1)}
+    assert u == HomElement(-1, ((1, 2),), ((0, F(1)),)) and "_images" in vars(u)
+    assert hash(u) == hash((-1, ((1, 2),), ((0, F(1)),)))
+
+
+def test_matrix_keeps_its_shape_check():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Matrix(2, 2, ((F(1), F(0)), (F(1),)))
+    with pytest.raises(ValueError, match="row count mismatch"):
+        Matrix(3, 1, ((F(1),),))
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Matrix(rows=1, cols=2, entries=((F(1),),))
+    assert Matrix(rows=1, cols=1, entries=((F(1),),)) == Matrix.identity(1)
+    with pytest.raises(TypeError):
+        Matrix(1, 1)

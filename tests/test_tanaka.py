@@ -888,3 +888,29 @@ def test_two_step_duality_on_seeded_types(m, k):
     rng = random.Random(100 * m + k)
     for _ in range(2):
         _assert_dual_pair(random_two_step(m, k, rng))
+
+
+def _two_step_g0_bound(m, k):
+    """The counting bound on dim g_0 for a 2-step algebra of type (m,k):
+    g_0 is the stabiliser in gl(m) of the bracket's kernel, a point of a
+    Grassmannian of dimension k(C(m,2) - k), and g_0 holds the grading
+    derivation."""
+    return max(1, m * m - k * (comb(m, 2) - k))
+
+
+@pytest.mark.parametrize("m,k", [(4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (5, 5), (6, 3), (6, 4)])
+def test_two_step_g0_counting_bound(m, k):
+    # an inequality, never an equality: (6,3) can exceed its bound of 1
+    rng = random.Random(1000 * m + k)
+    for _ in range(2):
+        assert two_step_g0_dim(random_two_step(m, k, rng)) >= _two_step_g0_bound(m, k)
+
+
+def test_no_two_step_algebra_below_dimension_9_is_ultrarigid():
+    # the bound is at least 2 whenever m + k <= 8, so g_0 = span(D) needs
+    # dimension 9 or more in step 2 (abelian algebras, k = 0, never qualify)
+    bounds = {(m, k): _two_step_g0_bound(m, k)
+              for m in range(2, 8) for k in range(1, comb(m, 2) + 1) if m + k <= 8}
+    assert min(bounds.values()) == 4
+    assert sorted(t for t, b in bounds.items() if b == 4) == [(2, 1), (5, 3)]
+    assert _two_step_g0_bound(5, 4) == 1
