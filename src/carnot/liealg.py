@@ -5,7 +5,8 @@ A ``LieAlgebra`` stores a sparse antisymmetric bracket table: only pairs
 and the Jacobi identity is the only thing left to check.  Every reader of
 the table (brackets, Jacobi, Leibniz rows, bracket spans, series) goes
 through one sparse index with both orientations, built once per object, so
-work scales with the nonzero brackets rather than with ``dim**3``.  Basis
+work scales with the nonzero brackets rather than with ``dim**3``.  The
+index holds integral values as ``int`` (``linalg._lean``).  Basis
 indices are 0-based internally; the default labels are ``e1..en``.
 
 The Leibniz identity is assembled once, in :func:`_leibniz_system`, for
@@ -26,14 +27,13 @@ from .linalg import (
     Subspace,
     Vec,
     _dense_vec,
+    _lean,
     _sparse_cols,
     as_vec,
     invert,
     is_zero_vec,
     solution_space,
 )
-
-_ZERO = Fraction(0)
 
 
 class NotLieAlgebraError(ValueError):
@@ -133,10 +133,10 @@ class LieAlgebra(Record):
     def _ad(self) -> tuple[dict[int, dict[int, Fraction]], ...]:
         """Sparse index of the table in both orientations:
         ``_ad[i][j] = {k: c}`` with [e_i, e_j] = sum c e_k, nonzero
-        brackets only."""
+        brackets only, integral ``c`` as ``int``."""
         ad: tuple[dict[int, dict[int, Fraction]], ...] = tuple({} for _ in range(self.dim))
         for (i, j), vec in self.table:
-            coords = {k: c for k, c in enumerate(vec) if c}
+            coords = {k: _lean(c) for k, c in enumerate(vec) if c}
             if coords:
                 ad[i][j] = coords
                 ad[j][i] = {k: -c for k, c in coords.items()}
@@ -159,7 +159,7 @@ class LieAlgebra(Record):
                     if b:
                         c = a * b
                         for k, v in coords.items():
-                            acc[k] = acc.get(k, _ZERO) + c * v
+                            acc[k] = acc.get(k, 0) + c * v
         return _dense_vec(acc.items(), self.dim)
 
     def _triple_term(self, x: int, y: int, z: int, acc: dict[int, Fraction]) -> None:
@@ -167,7 +167,7 @@ class LieAlgebra(Record):
         ad = self._ad
         for l, c in ad[x].get(y, {}).items():
             for k, v in ad[l].get(z, {}).items():
-                acc[k] = acc.get(k, _ZERO) + c * v
+                acc[k] = acc.get(k, 0) + c * v
 
     @cached_property
     def _jacobi_defects(self) -> tuple[JacobiDefect, ...]:
@@ -226,19 +226,21 @@ class LieAlgebra(Record):
         """span [a, b]: every bracket of a basis row of ``a`` with one of
         ``b``, through the sparse rows and the sparse table."""
         ad = self._ad
+        b_rows = [[(j, _lean(yj)) for j, yj in y] for y in b.rows]
         rows = []
         for x in a.rows:
             ad_x: dict[int, dict[int, Fraction]] = {}  # [x, e_j] per j
             for i, xi in x:
+                xi = _lean(xi)
                 for j, coords in ad[i].items():
                     acc = ad_x.setdefault(j, {})
                     for k, c in coords.items():
-                        acc[k] = acc.get(k, _ZERO) + xi * c
-            for y in b.rows:
+                        acc[k] = acc.get(k, 0) + xi * c
+            for y in b_rows:
                 w: dict[int, Fraction] = {}
                 for j, yj in y:
                     for k, c in ad_x.get(j, {}).items():
-                        w[k] = w.get(k, _ZERO) + yj * c
+                        w[k] = w.get(k, 0) + yj * c
                 w = {k: c for k, c in w.items() if c}
                 if w:
                     rows.append(w)
@@ -304,7 +306,7 @@ class LieAlgebra(Record):
 
         Each column of ``p`` is bracketed sparsely through the table, and
         only the nonzero coordinates of a bracket are mapped through the
-        sparse columns of ``p_inv``."""
+        sparse columns of ``p_inv``.  Integral coefficients are ``int``."""
         ad = self._ad
         cols = _sparse_cols(p)
         inv_cols = _sparse_cols(p_inv)
@@ -314,17 +316,17 @@ class LieAlgebra(Record):
                 for b, coords in ad[a].items():
                     acc = ad_i.setdefault(b, {})
                     for k, c in coords.items():
-                        acc[k] = acc.get(k, _ZERO) + x * c
+                        acc[k] = acc.get(k, 0) + x * c
             for j in range(i + 1, len(cols)):
                 w: dict[int, Fraction] = {}
                 for b, y in cols[j].items():
                     for k, c in ad_i.get(b, {}).items():
-                        w[k] = w.get(k, _ZERO) + y * c
+                        w[k] = w.get(k, 0) + y * c
                 out: dict[int, Fraction] = {}
                 for k, z in w.items():
                     if z:
                         for q, c in inv_cols[k].items():
-                            out[q] = out.get(q, _ZERO) + z * c
+                            out[q] = out.get(q, 0) + z * c
                 out = {q: c for q, c in out.items() if c}
                 if out:
                     yield (i, j), out

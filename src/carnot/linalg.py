@@ -19,6 +19,13 @@ view for rendering.  ``Matrix`` is the dense exchange format of basis
 changes and witnesses; hot paths read its nonzero entries
 (``_sparse_cols``).
 
+One coefficient rule: private sparse indexes (``LieAlgebra._ad``, basis
+change columns, the tower's rows and bracket table) hold integral values
+as ``int`` and the others as ``Fraction`` (:func:`_lean`), so integral
+tables cost ``int`` arithmetic, which mixes exactly with ``Fraction``.
+Public values (``Vec``, ``Matrix``, ``Subspace`` rows, ``HomElement``
+entries, coordinates) are always ``Fraction``.
+
 One kernel does the elimination: ``RowReducer`` keeps sparse integer
 pivot rows.  Every canonical basis (``Subspace.from_rows``,
 ``solution_space``) is read off its back-substituted rows, with no dense
@@ -58,6 +65,11 @@ def rat(x: Scalar) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _lean(x):
+    """``x`` as an ``int`` when it is integral: the private index format."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def as_vec(values: Iterable[Scalar]) -> Vec:
@@ -224,15 +236,18 @@ class RowReducer:
         items = {}
         denom_lcm = 1
         for c, v in pairs:
-            # test again after coercion: the string "0" is truthy
-            if v and (x := v if isinstance(v, Fraction) else rat(v)):
+            if v and type(v) is not int:
+                v = v if isinstance(v, Fraction) else rat(v)
+                if v.denominator == 1:
+                    v = v.numerator
+                elif denom_lcm % v.denominator:
+                    denom_lcm = math.lcm(denom_lcm, v.denominator)
+            if v:  # tested after coercion: the string "0" is truthy
                 if not 0 <= c < width:
                     raise ValueError(f"column {c} out of range 0..{width - 1}")
-                items[c] = x
-                if denom_lcm % x.denominator:
-                    denom_lcm = math.lcm(denom_lcm, x.denominator)
+                items[c] = v
         if denom_lcm == 1:
-            return _reduce_content({c: v.numerator for c, v in items.items()})
+            return _reduce_content(items)
         return _reduce_content({c: v.numerator * (denom_lcm // v.denominator)
                                 for c, v in items.items()})
 
@@ -447,20 +462,20 @@ class Subspace(Record):
 
 
 def _dense_vec(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vec:
-    """The vector of length ``width`` with the given (index, value) entries."""
+    """The ``Fraction`` vector of length ``width`` with the given entries."""
     out = [_ZERO] * width
     for i, x in pairs:
-        out[i] = x
+        out[i] = Fraction(x)
     return tuple(out)
 
 
 def _sparse_cols(m: Matrix) -> list[dict[int, Fraction]]:
-    """The nonzero entries of each column of ``m``, as ``{row: value}``."""
+    """The nonzero entries of each column of ``m``, as ``{row: _lean(value)}``."""
     cols: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):
             if x:
-                cols[j][i] = x
+                cols[j][i] = _lean(x)
     return cols
 
 

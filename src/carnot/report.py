@@ -72,14 +72,15 @@ def fmt_layers(s: grading.Stratification) -> str:
 class Analysis(Record):
     """Everything a report says about one algebra.
 
-    ``stratifiable`` and ``layers`` are the rendered report values.
+    ``stratifiable`` and ``layers`` are the rendered report values, but
+    ``stratifiable`` is None for invalid declared layers: the report decides it.
     ``tower`` is the prolongation up to ``cap`` over ``stratification``;
     both are None exactly when ``problem`` says why there is no
     stratification."""
 
     defects: tuple[JacobiDefect, ...]
     series: Optional[SeriesReport]
-    stratifiable: str
+    stratifiable: Optional[str]
     layers: str
     stratification: Optional[grading.Stratification]
     tower: Optional[tanaka.ProlongationResult]
@@ -94,7 +95,7 @@ def analyze(algebra: LieAlgebra, layer_ranges: Optional[Sequence[tuple[int, int]
     Declared layers are used when they are a stratification; otherwise
     the one derived by :func:`grading.is_stratifiable` is used, unless
     layers were declared: an invalid declaration is reported, never
-    replaced."""
+    replaced, and its stratifiability verdict is left to the report."""
     defects = tuple(algebra.jacobi_defect())
     if defects:
         try:
@@ -109,25 +110,22 @@ def analyze(algebra: LieAlgebra, layer_ranges: Optional[Sequence[tuple[int, int]
         try:
             strat = grading.verify_stratification(
                 algebra, grading.coordinate_layers(algebra.dim, layer_ranges))
-            layers = fmt_ranges(layer_ranges)
         except grading.StratificationError as e:
-            layers = f"invalid ({type(e).__name__})"
-            problem = f"declared layers are not a stratification: {e}"
-    if strat is not None:
-        stratifiable = "true"
+            return Analysis(defects, series, None, f"invalid ({type(e).__name__})", None, None,
+                            cap, f"declared layers are not a stratification: {e}")
+        stratifiable, layers = "true", fmt_ranges(layer_ranges)
     else:
         try:
             verdict = grading.is_stratifiable(algebra)
         except grading.NotNilpotentError as e:
-            problem = problem or str(e)
+            problem = str(e)
         else:
             stratifiable = fmt_bool(verdict.stratifiable)
-            if problem is None:
-                strat = verdict.derived_stratification
-                if strat is None:
-                    problem = "the algebra admits no stratification"
-                else:
-                    layers = fmt_layers(strat)
+            strat = verdict.derived_stratification
+            if strat is None:
+                problem = "the algebra admits no stratification"
+            else:
+                layers = fmt_layers(strat)
     tower = None if strat is None else tanaka.prolong(algebra, strat, cap)
     return Analysis(defects, series, stratifiable, layers, strat, tower, cap, problem)
 
@@ -135,6 +133,12 @@ def analyze(algebra: LieAlgebra, layer_ranges: Optional[Sequence[tuple[int, int]
 def report_lines(label: str, algebra: LieAlgebra, a: Analysis) -> list[str]:
     """The report of :func:`analyze`'s result, one ``key: value`` line each."""
     series = a.series
+    stratifiable = a.stratifiable
+    if stratifiable is None:
+        try:
+            stratifiable = fmt_bool(grading.is_stratifiable(algebra).stratifiable)
+        except grading.NotNilpotentError:
+            stratifiable = "none"
     lines = [f"source: {label}",
              f"dim: {algebra.dim}",
              f"brackets: {algebra.bracket_count()}",
@@ -142,7 +146,7 @@ def report_lines(label: str, algebra: LieAlgebra, a: Analysis) -> list[str]:
              f"nilpotent: {fmt_bool(series.nilpotent if series else None)}",
              f"step: {series.step if series and series.nilpotent else 'none'}",
              f"series_dims: {fmt_ints(series.dims) if series else 'none'}",
-             f"stratifiable: {a.stratifiable}",
+             f"stratifiable: {stratifiable}",
              f"layers: {a.layers}"]
     strat, tower = a.stratification, a.tower
     verdict = tanaka.rigidity_verdict(tower) if tower else None

@@ -26,6 +26,10 @@ and the bracket is a table of structure constants, the coordinates of
 degree read from entries of lower total degree, each checked to lie in
 the computed component.
 
+The private indexes (element images, basis rows, the bracket table) hold
+integral values as ``int`` (``linalg._lean``); every public value
+(``HomElement.entries``, coordinates, ``hom0_to_endo``) is ``Fraction``.
+
 Everything is computed in an adapted basis in which each layer is a
 coordinate block; results living in the original endomorphism space are
 conjugated back at the boundary.
@@ -48,6 +52,7 @@ from .linalg import (
     Subspace,
     Vec,
     _dense_vec,
+    _lean,
     _sparse_cols,
     invert,
     rat,
@@ -140,9 +145,9 @@ class HomElement(Record):
     @staticmethod
     def from_nonzeros(degree: int, shapes: Sequence[tuple[int, int]],
                       values: Mapping[int, Fraction]) -> "HomElement":
-        """The element with ``values`` at its flat columns (zeros dropped)."""
+        """The element with ``values`` at its flat columns (zeros dropped), in ``Fraction``."""
         return HomElement(degree, tuple(shapes),
-                          tuple(sorted((c, x) for c, x in values.items() if x)))
+                          tuple(sorted((c, Fraction(x)) for c, x in values.items() if x)))
 
     def flatten(self) -> Vec:
         return _dense_vec(self.entries, sum(r * c for r, c in self.shapes))
@@ -161,9 +166,9 @@ class HomElement(Record):
         return HomElement.from_nonzeros(self.degree, self.shapes,
                                         _add_scaled(dict(self.entries), 1, other.entries))
 
-    def image(self, a: int) -> dict[int, Fraction]:
+    def _image(self, a: int) -> dict[int, Fraction]:
         """u(e_a) for the a-th adapted basis vector, as the nonzero target
-        coordinates ``{q: value}`` of a column of its layer's block.  Read-only."""
+        coordinates ``{q: _lean(value)}`` of its block's column.  Read-only."""
         return self._images.get(a, {})
 
     @cached_property
@@ -176,14 +181,14 @@ class HomElement(Record):
         for pos, x in self.entries:
             l = bisect_right(starts, pos) - 1
             q, col = divmod(pos - starts[l], self.shapes[l][1])
-            out.setdefault(layer_starts[l] + col, {})[q] = x
+            out.setdefault(layer_starts[l] + col, {})[q] = _lean(x)
         return out
 
 
 def _add_scaled(acc: dict[int, Fraction], c, pairs) -> dict[int, Fraction]:
     """acc += c * v for the sparse vector v given by (index, value) pairs."""
     for q, x in pairs:
-        acc[q] = acc.get(q, _ZERO) + c * x
+        acc[q] = acc.get(q, 0) + c * x
     return acc
 
 
@@ -236,7 +241,7 @@ def _solve_component(frame: AdaptedFrame, k: int,
                    for q, x in frame.graded._ad[b].get(g, {}).items()]
         else:
             # [e_b, w] = -w(e_b)
-            out = [(q, -x) for q, x in bases[t][r].image(b).items()]
+            out = [(q, -x) for q, x in bases[t][r]._image(b).items()]
         actions[key] = out
         return out
 
@@ -264,7 +269,7 @@ def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
         col = [_ZERO] * n
         for b, x in v.items():
             off = frame.offsets[frame.weights[b] - 1]
-            for r, w in el.image(b).items():
+            for r, w in el._image(b).items():
                 y = w * x  # a term of (A v)[off + r]
                 for i, z in p_cols[off + r].items():
                     col[i] += y * z
@@ -297,10 +302,10 @@ class ProlongationResult(Record):
     reached with the last component still nonzero.
 
     ``bracket`` reads a table of basis structure constants, and
-    ``coordinates_of`` reads the pivot column and the nonzero entries of
-    each stored basis vector, per degree.  Both are filled lazily and kept
-    in the instance ``__dict__``, outside the record's fields, so equality
-    and hashing see only the tower itself.
+    ``coordinates_of`` reads, per degree, the block shapes, the pivot
+    columns and the basis rows with integral values as ``int``.  Both are
+    filled lazily and kept in the instance ``__dict__``, outside the
+    record's fields, so equality and hashing see only the tower itself.
     """
 
     dims: tuple[int, ...]
@@ -325,20 +330,21 @@ class ProlongationResult(Record):
         raise ComponentNotComputedError(f"degree {t} not computed (cap {len(self.bases) - 1})")
 
     def _shapes(self, t: int) -> tuple[tuple[int, int], ...]:
-        return _block_shapes(self.frame, t, self.component_dim)
+        return self._degree(t)[0]
 
     @cached_property
-    def _pivots(self) -> dict[int, tuple[int, ...]]:
-        """Filled on demand: degree t maps to the pivots of the basis of g_t."""
+    def _degrees(self) -> dict[int, tuple]:
+        """Filled on demand by :meth:`_degree`."""
         return {}
 
-    def _basis_pivots(self, t: int) -> tuple[int, ...]:
-        """Pivot columns of the stored basis of g_t.  ``prolong`` stores
-        each basis in canonical RREF, so vector i is 1 at its pivot column
-        (its first nonzero) and every other basis vector is 0 there; that
-        is checked once per degree."""
-        pivots = self._pivots.get(t)
-        if pivots is None:
+    def _degree(self, t: int) -> tuple:
+        """The block shapes of g_t, the pivot columns of its stored basis and
+        each basis vector as ``{column: _lean(value)}``, cached per degree.
+        ``prolong`` stores each basis in canonical RREF, so vector i is 1 at
+        its pivot column (its first nonzero) and every other basis vector is
+        0 there; that is checked once per degree."""
+        index = self._degrees.get(t)
+        if index is None:
             basis = self.basis(t)
             pivots = tuple(b.entries[0][0] for b in basis if b.entries)
             pset = set(pivots)
@@ -346,36 +352,44 @@ class ProlongationResult(Record):
                     b.entries[0][1] != 1 or sum(c in pset for c, _ in b.entries) != 1
                     for b in basis):
                 raise ValueError(f"stored basis of g_{t} is not in canonical form")
-            self._pivots[t] = pivots
-        return pivots
+            rows = tuple({c: _lean(x) for c, x in b.entries} for b in basis)
+            index = self._degrees[t] = (_block_shapes(self.frame, t, self.component_dim),
+                                        pivots, rows)
+        return index
 
-    def coordinates_of(self, el: HomElement) -> Vec:
-        """Coordinates of ``el`` in the stored basis of its degree;
-        raises MembershipError when it lies outside the component.
-
-        Membership is a pivot read-off plus an exact residual check: the
-        coordinates are the entries of ``el`` at the pivot columns of the
-        canonical basis, and ``el`` is a member exactly when subtracting
-        that combination of basis vectors leaves no nonzero entry."""
-        pivots = self._basis_pivots(el.degree)
-        if el.shapes != self._shapes(el.degree):
-            raise ValueError(f"element blocks do not have the shapes of g_{el.degree}")
-        residual = dict(el.entries)
-        coords = tuple(residual.get(p, _ZERO) for p in pivots)
-        for c, b in zip(coords, self.basis(el.degree)):
+    def _read_off(self, t: int, values: Mapping[int, Fraction]) -> tuple:
+        """The :func:`_lean` coordinates in the stored basis of g_t of the
+        element with flat entries ``values``, or MembershipError: they are
+        its entries at the pivot columns, and it is a member exactly when
+        subtracting that combination of basis vectors leaves no nonzero."""
+        _, pivots, rows = self._degree(t)
+        coords = tuple([_lean(x) if (x := values.get(p)) else 0 for p in pivots])
+        residual = dict(values)
+        for c, row in zip(coords, rows):
             if c:
-                _add_scaled(residual, -c, b.entries)
+                _add_scaled(residual, -c, row.items())
         if any(residual.values()):
             if not pivots:
-                raise MembershipError(f"nonzero element of vanishing component g_{el.degree}")
-            raise MembershipError(f"element does not lie in the computed g_{el.degree}")
+                raise MembershipError(f"nonzero element of vanishing component g_{t}")
+            raise MembershipError(f"element does not lie in the computed g_{t}")
         return coords
+
+    def _coordinates(self, el: HomElement) -> tuple:
+        """:meth:`_read_off` of ``el`` after a check of its block shapes."""
+        if el.shapes != self._shapes(el.degree):
+            raise ValueError(f"element blocks do not have the shapes of g_{el.degree}")
+        return self._read_off(el.degree, {c: _lean(x) for c, x in el.entries})
+
+    def coordinates_of(self, el: HomElement) -> Vec:
+        """Coordinates of ``el`` in the stored basis of its degree; raises
+        MembershipError when it lies outside the component."""
+        return tuple(map(Fraction, self._coordinates(el)))
 
     @cached_property
     def _table(self) -> dict[tuple[int, int, int, int], dict[int, Fraction]]:
         """Structure constants filled on demand: (k, i, m, j) maps to the
         nonzero coordinates ``{q: value}`` of [b^k_i, b^m_j] in the stored
-        basis of g_{k+m}."""
+        basis of g_{k+m}, integral values as ``int``."""
         return {}
 
     def _entry(self, k: int, i: int, m: int, j: int) -> dict[int, Fraction]:
@@ -388,17 +402,16 @@ class ProlongationResult(Record):
         if key in self._table:
             return self._table[key]
         u, v = self.basis(k)[i], self.basis(m)[j]
-        shapes = self._shapes(k + m)
         values: dict[int, Fraction] = {}
         pos = 0
-        for a0, (rows, d) in zip(self.frame.offsets, shapes):
+        for a0, (rows, d) in zip(self.frame.offsets, self._shapes(k + m)):
             for c in range(d):
                 col = _add_scaled(self._outer(k, i, v, a0 + c), -1,
                                   self._outer(m, j, u, a0 + c).items())
                 for q, y in col.items():
                     values[pos + q * d + c] = y
             pos += rows * d
-        coords = self.coordinates_of(HomElement.from_nonzeros(k + m, shapes, values))
+        coords = self._read_off(k + m, values)
         self._table[key] = {q: y for q, y in enumerate(coords) if y}
         return self._table[key]
 
@@ -411,10 +424,10 @@ class ProlongationResult(Record):
             # [w, e_a] lies in layer -t, on which b^k_i acts by its block
             b, off = self.basis(k)[i], self.frame.offsets[-t - 1]
             acc: dict[int, Fraction] = {}
-            for r, x in w.image(a).items():
-                _add_scaled(acc, x, b.image(off + r).items())
+            for r, x in w._image(a).items():
+                _add_scaled(acc, x, b._image(off + r).items())
             return acc
-        return self._bracket_coords(k, i, t, w.image(a).items())
+        return self._bracket_coords(k, i, t, w._image(a).items())
 
     def _bracket_coords(self, k: int, i: int, t: int, coords) -> dict[int, Fraction]:
         """Coordinates of [b^k_i, w] for w in g_t given by its coordinate
@@ -432,9 +445,9 @@ class ProlongationResult(Record):
         and ComponentNotComputedError past the cap."""
         if u.degree < 0 or v.degree < 0:
             raise ValueError("both elements must have nonnegative degree")
-        a, b = self.coordinates_of(u), self.coordinates_of(v)
+        a, b = self._coordinates(u), self._coordinates(v)
         k, m = u.degree, v.degree
-        basis, shapes = self.basis(k + m), self._shapes(k + m)
+        shapes, _, rows = self._degree(k + m)
         acc: dict[int, Fraction] = {}
         for i, x in enumerate(a):
             if x:
@@ -442,7 +455,7 @@ class ProlongationResult(Record):
         values: dict[int, Fraction] = {}
         for q, c in acc.items():
             if c:
-                _add_scaled(values, c, basis[q].entries)
+                _add_scaled(values, c, rows[q].items())
         return HomElement.from_nonzeros(k + m, shapes, values)
 
 

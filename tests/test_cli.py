@@ -213,6 +213,23 @@ def test_stratification_problems_exit_1(capsys, tmp_path, command, source, messa
     assert run_cli(capsys, command, source) == (1, "", f"carnot: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["g0", "prolong", "rigid"])
+def test_invalid_declared_layers_exit_without_a_stratifiability_verdict(
+        capsys, tmp_path, monkeypatch, command):
+    # only the report prints the verdict, so these commands never decide it
+    from carnot import grading
+
+    def refuse(algebra):
+        raise AssertionError("is_stratifiable ran")
+
+    f = tmp_path / "h3_bad_layers.alg"
+    f.write_text("dim 3\nlayers 1..1; 2..3\nbracket 1 2 = 3\n", encoding="utf-8")
+    monkeypatch.setattr(grading, "is_stratifiable", refuse)
+    assert run_cli(capsys, command, str(f)) == (1, "", f"carnot: {_BAD_LAYERS.format(2)}\n")
+    with pytest.raises(AssertionError, match="is_stratifiable ran"):
+        run_cli(capsys, "report", str(f))
+
+
 def test_g0_derives_stratification_when_none_declared(capsys, tmp_path):
     f = tmp_path / "h3_plain.alg"
     f.write_text("dim 3\nbracket 1 2 = 3\n", encoding="utf-8")

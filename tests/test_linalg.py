@@ -550,6 +550,38 @@ def test_to_sparse_int_fast_path_edges():
     assert red._pivots == {1: {1: 1}}
 
 
+def test_add_on_int_and_mixed_rows_matches_all_fraction_rows():
+    # plain ints (the private indexes' format for integral values), mixed
+    # int / Fraction / "p/q" rows and int zeros give the same pivots,
+    # ranks, echelon rows and nullspace as the same rows all in Fraction
+    rows = [[2, 0, -4, 6, 0],
+            {4: 1, 0: 0, 1: F(1, 2), 3: "-3/4"},
+            [F(2, 3), "5", 0, 7, F(0)],
+            {2: 3, 3: F(9, 2), 0: "0"},
+            [0, 0, 0, 0, 0],
+            {1: -1, 3: "3/2", 4: -2},  # -2 times row 1
+            [2, 0, "-1", F(21, 2), 0]]  # rows 0 and 3 added
+    for reverse in (False, True):
+        red, ref = RowReducer(5, reverse), RowReducer(5, reverse)
+        for row in rows:
+            pairs = row.items() if isinstance(row, dict) else enumerate(row)
+            assert red.add(row) == ref.add({c: rat(x) for c, x in pairs})
+            assert red._pivots == ref._pivots
+        assert red.rank == ref.rank == 4
+        assert red.echelon() == ref.echelon()
+        assert red.sparse_nullspace() == ref.sparse_nullspace()
+        assert all(type(x) is F for row in red.echelon().values() for _, x in row)
+    red = RowReducer(3)
+    assert not red.add([0, 0, 0]) and not red.add({2: 0, 0: "0", 1: F(0)})
+    for row in ([1, 2, 0.5], {0: 1, 2: 0.25}, {0: 1.0}, [F(1, 2), "1", 3.0]):
+        with pytest.raises(TypeError):
+            red.add(row)
+    for row in ({3: 1}, {0: 2, 5: 1}, {-1: 4}):
+        with pytest.raises(ValueError, match="out of range 0..2"):
+            red.add(row)
+    assert red.rank == 0
+
+
 def test_to_sparse_int_matches_lcm_route():
     # denominators 2, 3 and 6 in every order: the running lcm is skipped
     # when a denominator already divides it, and all-integral rows take
@@ -680,7 +712,7 @@ def test_record_keywords_and_defaults():
     u = HomElement(entries=((0, F(1)),), shapes=((1, 2),), degree=-1)
     assert u == HomElement(-1, ((1, 2),), ((0, F(1)),))
     # a cached index lives in the instance __dict__, outside the fields
-    assert u.image(0) == {0: F(1)}
+    assert u._image(0) == {0: 1}
     assert u == HomElement(-1, ((1, 2),), ((0, F(1)),)) and "_images" in vars(u)
     assert hash(u) == hash((-1, ((1, 2),), ((0, F(1)),)))
 

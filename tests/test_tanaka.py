@@ -5,7 +5,9 @@ from math import comb
 import pytest
 
 from carnot import catalog
-from carnot.grading import coordinate_layers, grading_derivation, verify_stratification
+from carnot.algfile import parse
+from carnot.grading import (coordinate_layers, grading_derivation, is_stratifiable,
+                            verify_stratification)
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, solve_affine, unit_vec, zero_vec
 from carnot.tanaka import (
@@ -697,6 +699,111 @@ def test_tower_bracket_satisfies_jacobi(name, cap, seed):
                  + result.bracket(v, result.bracket(w, u))
                  + result.bracket(w, result.bracket(u, v)))
         assert total.is_zero()
+
+
+def rational_heisenberg3():
+    """heisenberg_3 in the basis of the columns of a rational matrix of
+    determinant -5/12: non-integral structure constants, adapted frame and
+    tower bases, so the private indexes mix ``int`` and ``Fraction``."""
+    P = Matrix.from_rows([[1, F(1, 2), 0], [F(-2, 3), 1, 1], [0, 3, F(5, 2)]])
+    return catalog.get("heisenberg_3").algebra.change_of_basis(P)
+
+
+def test_bracket_matches_reference_on_a_non_integral_table():
+    base = catalog.get("heisenberg_3").algebra
+    L = rational_heisenberg3()
+    assert any(x.denominator != 1 for _, vec in L.table for x in vec)
+    verdict = is_stratifiable(L)
+    assert L.derivation_algebra().dim == base.derivation_algebra().dim == 6
+    assert (verdict.derived_stratification.layer_dims
+            == is_stratifiable(base).derived_stratification.layer_dims == (2, 1))
+    result = prolong(L, verdict.derived_stratification, 2)
+    assert result.dims == (4, 6, 9)
+    assert any(x.denominator != 1 for basis in result.bases for el in basis for _, x in el.entries)
+    memo = {}
+    for k in range(3):
+        for m in range(3 - k):
+            for u in result.bases[k]:
+                for v in result.bases[m]:
+                    want = ref_bracket(result, u, v, memo)
+                    assert result.bracket(u, v).flatten() == want.flatten()
+
+
+def _public_scalars(L):
+    """Every scalar of the public values computed from ``L``, labelled."""
+    n = L.dim
+    out = [("bracket_basis", x) for i in range(n) for j in range(n) for x in L.bracket_basis(i, j)]
+    out += [("bracket", x) for x in L.bracket(range(1, n + 1), [F(1, 3)] * n)]
+    out += [("series", x) for t in L.lower_central_series().terms for row in t.rows for _, x in row]
+    out += [("Der", x) for row in L.derivation_algebra().rows for _, x in row]
+    shear = Matrix.from_rows([[1 if i == j else (2 if j == i + 1 else 0) for j in range(n)]
+                              for i in range(n)])
+    out += [("change_of_basis", x) for _, vec in L.change_of_basis(shear).table for x in vec]
+    verdict = is_stratifiable(L)
+    out += [("witness", x) for row in verdict.witness.entries for x in row]
+    strat = verdict.derived_stratification
+    out += [("layers", x) for v in strat.layers for row in v.rows for _, x in row]
+    result = prolong(L, strat, 2)
+    for k, basis in enumerate(result.bases):
+        for u in basis:
+            out += [("bases", x) for _, x in u.entries]
+            out += [("coordinates_of", x) for x in result.coordinates_of(u)]
+            if k == 0:
+                out += [("hom0_to_endo", x) for row in hom0_to_endo(result.frame, u).entries
+                        for x in row]
+            for m in range(3 - k):
+                for v in result.basis(m):
+                    out += [("ProlongationResult.bracket", x)
+                            for _, x in result.bracket(u, v).entries]
+    return out
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "example1_16", "half_heisenberg_3",
+                                  "rational_heisenberg_3"])
+def test_public_values_are_fractions(name):
+    if name == "half_heisenberg_3":
+        L = parse("dim 3\nbracket 1 2 = 1/2*3\n").algebra
+    elif name == "rational_heisenberg_3":
+        L = rational_heisenberg3()
+    else:
+        L = catalog.get(name).algebra
+    scalars = _public_scalars(L)
+    labels = {label for label, _ in scalars}
+    assert {"bracket_basis", "Der", "change_of_basis", "witness", "layers", "bases",
+            "coordinates_of", "hom0_to_endo"} <= labels
+    # example1_16 is ultrarigid: its tower is span(D), and [D, D] = 0
+    assert ("ProlongationResult.bracket" in labels) == (name != "example1_16")
+    assert [(label, x) for label, x in scalars if type(x) is not F] == []
+
+
+@pytest.mark.parametrize("coeff", [1, F(1, 2)])
+def test_jacobi_residuals_are_fractions(coeff):
+    broken = LieAlgebra.from_brackets(3, {(0, 1): (0, 0, coeff), (0, 2): (1, 0, 0)})
+    defects = broken.jacobi_defect()
+    assert defects
+    assert all(type(x) is F for *_, residual in defects for x in residual)
+
+
+def test_reprs_show_fraction_entries():
+    # the literals are the reprs printed before the private indexes held ints
+    half = parse("dim 3\nbracket 1 2 = 1/2*3\n").algebra
+    conj = rational_heisenberg3()
+    assert repr(half.lower_central_series().terms[1]) == (
+        "Subspace(ambient_dim=3, rows=(((2, Fraction(1, 1)),),))")
+    assert repr(conj.lower_central_series().terms[1]) == (
+        "Subspace(ambient_dim=3, rows=(((0, Fraction(1, 1)), (1, Fraction(-2, 1)), "
+        "(2, Fraction(8, 3))),))")
+    result = prolong(half, is_stratifiable(half).derived_stratification, 2)
+    assert repr(result.bracket(result.bases[1][3], result.bases[1][0])) == (
+        "HomElement(degree=2, shapes=((6, 2), (4, 1)), entries=((3, Fraction(-1, 1)), "
+        "(5, Fraction(-3, 2)), (6, Fraction(-2, 1)), (13, Fraction(-1, 1))))")
+    result = prolong(conj, is_stratifiable(conj).derived_stratification, 1)
+    assert repr(result.bases[1][0]) == (
+        "HomElement(degree=1, shapes=((4, 2), (2, 1)), entries=((0, Fraction(1, 1)), "
+        "(6, Fraction(-1, 2)), (9, Fraction(1, 4))))")
+    assert repr(result.bracket(result.bases[0][1], result.bases[1][0])) == (
+        "HomElement(degree=1, shapes=((4, 2), (2, 1)), entries=((1, Fraction(-1, 1)), "
+        "(2, Fraction(-3, 2)), (7, Fraction(1, 2)), (8, Fraction(1, 4))))")
 
 
 # ---------------------------------------------------------------------------
