@@ -246,15 +246,6 @@ class LieAlgebra(Record):
                     rows.append(w)
         return Subspace.from_rows(rows, self.dim)
 
-    def is_derivation(self, u: Matrix) -> bool:
-        """Leibniz identity u[x,y] = [u x, y] + [x, u y] on all basis
-        pairs: every row of :meth:`leibniz_rows` vanishes at the
-        row-major flattening of ``u``."""
-        if u.rows != self.dim or u.cols != self.dim:
-            raise ValueError("endomorphism shape mismatch")
-        flat = u.flatten()
-        return not any(sum(x * flat[c] for c, x in row.items()) for row in self.leibniz_rows())
-
     def leibniz_rows(self):
         """Sparse rows of the Leibniz system in the n^2 unknowns u[k][l]
         (row-major flat index k*n + l, u(e_l) = sum_k u[k][l] e_k).

@@ -27,12 +27,16 @@ Public values (``Vec``, ``Matrix``, ``Subspace`` rows, ``HomElement``
 entries, coordinates) are always ``Fraction``.
 
 One kernel does the elimination: ``RowReducer`` keeps sparse integer
-pivot rows.  Every canonical basis (``Subspace.from_rows``,
-``solution_space``) is read off its back-substituted rows, with no dense
-pass and no second reduction.  ``solution_space``, the one entry for
-``Der`` and every g_k, feeds its rows shortest first (Markowitz's
-sparsest-row rule): rows that reduce to zero and fill-in then cost less.
-The canonical basis is unique, so the order cannot change an answer.
+pivot rows, primitive with positive lead.  A pivot whose lead is 1 is
+subtracted from the working row in place; any other goes through
+``_eliminate``, which builds a new content-reduced row.  The content is
+divided out again only when a row is stored.  Every canonical basis
+(``Subspace.from_rows``, ``solution_space``) is read off its
+back-substituted rows, with no dense pass and no second reduction.
+``solution_space``, the one entry for ``Der`` and every g_k, feeds its
+rows shortest first (Markowitz's sparsest-row rule): rows that reduce to
+zero and fill-in then cost less.  The canonical basis is unique, so the
+order cannot change an answer.
 """
 
 from __future__ import annotations
@@ -74,10 +78,6 @@ def _lean(x):
 
 def as_vec(values: Iterable[Scalar]) -> Vec:
     return tuple(rat(v) for v in values)
-
-
-def zero_vec(n: int) -> Vec:
-    return (_ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> Vec:
@@ -209,10 +209,11 @@ class RowReducer:
     """Incremental exact Gaussian elimination over the rationals.
 
     Rows are stored as sparse integer dictionaries (column -> value) with
-    their content (gcd) divided out, so all intermediate arithmetic stays
-    in plain Python integers.  Feeding rows one at a time keeps large
-    structured systems (a few thousand sparse equations) fast: a row is
-    only combined with the pivot rows its support actually touches.
+    their content (gcd) divided out and a positive lead, so all
+    intermediate arithmetic stays in plain Python integers.  Feeding rows
+    one at a time keeps large structured systems (a few thousand sparse
+    equations) fast: a row is only combined with the pivot rows its
+    support actually touches, in place when the pivot's lead is 1.
 
     With ``reverse`` a row's lead is its highest column, not its lowest;
     :meth:`sparse_nullspace` is then the canonical RREF solution basis.
@@ -254,17 +255,35 @@ class RowReducer:
     def add(self, row) -> bool:
         """Reduce ``row`` (a dense sequence or a ``{column: value}``
         mapping) against the current pivots; returns True if it increased
-        the rank (i.e. was independent)."""
-        cur = self._to_sparse_int(row)
+        the rank (i.e. was independent).
+
+        Against a pivot whose lead is 1, ``b * pivot`` is subtracted from
+        the working row in place, with no new dict and no gcd pass; other
+        pivots go through :func:`_eliminate`.  Every step scales the row
+        by a positive factor only, so the content is divided out once, when
+        the row is stored, and the stored pivot is the same primitive row
+        with positive lead either way."""
+        cur = self._to_sparse_int(row)  # a new dict: the caller's row is never touched
+        pivots = self._pivots
+        lead_of = self._lead
         while cur:
-            lead = self._lead(cur)
-            piv = self._pivots.get(lead)
+            lead = lead_of(cur)
+            piv = pivots.get(lead)
             if piv is None:
                 if cur[lead] < 0:
                     cur = {c: -v for c, v in cur.items()}
-                self._pivots[lead] = cur
+                pivots[lead] = _reduce_content(cur)
                 return True
-            cur = _eliminate(cur, piv, lead)
+            if piv[lead] == 1:
+                b = cur[lead]
+                for c, v in piv.items():
+                    t = cur.get(c, 0) - b * v
+                    if t:
+                        cur[c] = t
+                    else:
+                        del cur[c]
+            else:
+                cur = _eliminate(cur, piv, lead)
         return False
 
     def _reduced_rows(self) -> dict[int, dict[int, int]]:
@@ -427,20 +446,6 @@ class Subspace(Record):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return Subspace.from_rows(map(dict, self.rows + other.rows), self.ambient_dim)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus intersection: row reduce [A|A / B|0]; rows whose left
-        block vanished carry an intersection basis in the right block."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        n = self.ambient_dim
-        red = RowReducer(2 * n)
-        for row in self.rows:
-            red.add({**dict(row), **{n + c: x for c, x in row}})
-        for row in other.rows:
-            red.add(dict(row))
-        inter = [{c - n: x for c, x in row} for p, row in red.echelon().items() if p >= n]
-        return Subspace.from_rows(inter, n)
 
     def quotient_functionals(self) -> list[dict[int, Fraction]]:
         """Linear functionals cutting out this subspace, as ``{column:

@@ -12,7 +12,10 @@ Membership in g_k is cut out by the Leibniz condition
 over all pairs of homogeneous basis vectors X, Y, where [w, Y] = w(Y)
 for nonnegative w, recursively through the representation.  Degree 0
 gives exactly the layer-preserving (strata-preserving) derivations.  The
-rows come from ``liealg._leibniz_system``, the one Leibniz assembler.
+rows come from ``liealg._leibniz_system``, the one Leibniz assembler,
+fed from a per-degree target index (:func:`_target_index`) that lists,
+for each basis vector e_b, only the generators w of lower degree with
+[e_b, w] != 0, so assembly walks nonzero actions only.
 :func:`rigidity_verdict` turns a tower into a verdict.
 
 Storage is sparse from the kernel on: each g_k basis vector is a
@@ -199,6 +202,34 @@ def _block_shapes(frame: AdaptedFrame, k: int,
     return tuple((target_dim(k - l), frame.layer_dim(l)) for l in range(1, frame.step + 1))
 
 
+def _target_index(frame: AdaptedFrame, t: int,
+                  bases: Sequence[Sequence[HomElement]]) -> dict[int, list[tuple[int, list]]]:
+    """The nonzero actions of the adapted basis on the degree-t space:
+    ``b`` maps to the ascending list of ``(r, [(q, value), ...])`` over
+    the generators w_r with [e_b, w_r] != 0, listing the nonzero
+    coordinates of [e_b, w_r] (degree t - weight(b)).
+
+    The generators are the layer -t basis vectors e_g when t < 0, read off
+    ``frame.graded._ad``, and the stored basis ``bases[t]`` of g_t when
+    t >= 0, where [e_b, w] = -w(e_b) is read off ``HomElement._images``
+    in one pass over the basis."""
+    index: dict[int, list[tuple[int, list]]] = {}
+    if t >= 0:
+        for r, w in enumerate(bases[t]):
+            for b, image in w._images.items():
+                index.setdefault(b, []).append((r, [(q, -x) for q, x in image.items()]))
+        return index
+    lo, hi = frame.offsets[-t - 1], frame.offsets[-t]
+    for b, ad_b in enumerate(frame.graded._ad):
+        gs = sorted(g for g in ad_b if lo <= g < hi)
+        if gs:
+            # [e_b, e_g] lies in layer weight(b) - t (the frame's table is
+            # graded), which exists because the bracket is nonzero
+            off = frame.offsets[frame.weights[b] - t - 1]
+            index[b] = [(g - lo, [(q - off, x) for q, x in ad_b[g].items()]) for g in gs]
+    return index
+
+
 def _solve_component(frame: AdaptedFrame, k: int,
                      bases: Sequence[Sequence[HomElement]],
                      dims: Sequence[int]) -> list[HomElement]:
@@ -206,7 +237,10 @@ def _solve_component(frame: AdaptedFrame, k: int,
     canonical form: the sparse rows of ``solution_space``.
 
     ``bases``/``dims`` describe the previously computed components
-    g_0..g_{k-1} (both empty for k = 0).
+    g_0..g_{k-1} (both empty for k = 0).  The term [e_b, u(e_a)] of a row
+    is read from the :func:`_target_index` of degree k - weight(a) at b:
+    only the generators w_r with [e_b, w_r] != 0, each at the unknown
+    ``start + r * step`` of the column range of u(e_a).
     """
     weights = frame.weights
 
@@ -224,33 +258,19 @@ def _solve_component(frame: AdaptedFrame, k: int,
         l = weights[a]
         return range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
 
-    actions: dict[tuple[int, int, int], list[tuple[int, Fraction]]] = {}
-
-    def action(t: int, r: int, b: int) -> list[tuple[int, Fraction]]:
-        """Nonzero home-coordinates (q, value) of [e_b, w] for w the r-th
-        generator of the degree-t space; the result has degree
-        t - weight(b)."""
-        key = (t, r, b)
-        if key in actions:
-            return actions[key]
-        if t < 0:
-            # [e_b, e_g] lies in layer j - t (the frame's table is graded),
-            # so it is zero when that layer does not exist
-            g = frame.offsets[-t - 1] + r
-            out = [(q - frame.offsets[weights[b] - t - 1], x)
-                   for q, x in frame.graded._ad[b].get(g, {}).items()]
-        else:
-            # [e_b, w] = -w(e_b)
-            out = [(q, -x) for q, x in bases[t][r]._image(b).items()]
-        actions[key] = out
-        return out
+    index = {t: _target_index(frame, t, bases) for t in range(k - frame.step, k)}
 
     def terms(a: int, b: int):
-        # [e_b, u(e_a)] = sum_r u_r(e_a) [e_b, w_r]
-        t = k - weights[a]
-        for r, col in enumerate(cols(a)):
-            for q, x in action(t, r, b):
-                yield q, col, x
+        # [e_b, u(e_a)] = sum_r u_r(e_a) [e_b, w_r], over the r with
+        # [e_b, w_r] != 0 only; u_r(e_a) is unknown start + r * step
+        entries = index[k - weights[a]].get(b)
+        if entries:
+            col_a = cols(a)
+            start, step = col_a.start, col_a.step
+            for r, pairs in entries:
+                col = start + r * step
+                for q, x in pairs:
+                    yield q, col, x
 
     return [HomElement(k, shapes, row) for row in
             solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total).rows]
@@ -275,16 +295,6 @@ def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
                     col[i] += y * z
         out.append(col)
     return Matrix(n, n, tuple(zip(*out)))
-
-
-def grading_element(frame: AdaptedFrame) -> HomElement:
-    """The grading derivation D as a degree-0 element (j times the
-    identity on layer j)."""
-    shapes = _block_shapes(frame, 0, lambda t: frame.layer_dim(-t))
-    starts = accumulate((d * d for d, _ in shapes), initial=0)
-    values = {start + r * (d + 1): Fraction(l)
-              for l, (start, (d, _)) in enumerate(zip(starts, shapes), 1) for r in range(d)}
-    return HomElement.from_nonzeros(0, shapes, values)
 
 
 def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Subspace:

@@ -1,10 +1,12 @@
 """Test-only constructions on top of the public ``LieAlgebra`` API, and
-the dense references that tests compare the sparse library against:
-``Matrix`` arithmetic, ``rref``, ``nullspace`` and the stratifiability
-decision with its generalised eigenspaces by repeated squaring."""
+the references that tests compare the library against: dense ``Matrix``
+arithmetic, ``rref``, ``nullspace``, the stratifiability decision with
+its generalised eigenspaces by repeated squaring, the elimination step
+without the unit-lead fast path, and the tower's Leibniz rows assembled
+over every generator."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from carnot.grading import (
     NotNilpotentError,
@@ -16,13 +18,17 @@ from carnot.grading import (
     grading_derivation,
     verify_stratification,
 )
-from carnot.liealg import LieAlgebra
-from carnot.linalg import (Matrix, RowReducer, Subspace, Vec, as_vec, is_zero_vec, solution_space,
-                           solve_affine_rows, unit_vec, zero_vec)
-from carnot.tanaka import HomElement, prolong
+from carnot.liealg import LieAlgebra, _leibniz_system
+from carnot.linalg import (Matrix, RowReducer, Subspace, Vec, _eliminate, as_vec, is_zero_vec,
+                           solution_space, solve_affine_rows, unit_vec)
+from carnot.tanaka import AdaptedFrame, HomElement, _block_shapes, prolong
 
 
 # -- dense Matrix arithmetic ---------------------------------------------------
+
+def zero_vec(n: int) -> Vec:
+    return (Fraction(0),) * n
+
 
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
@@ -90,6 +96,38 @@ def nullspace(m: Matrix) -> Subspace:
     return solution_space(m.entries, m.cols)
 
 
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus intersection: row reduce [A|A / B|0]; rows whose left
+    block vanished carry an intersection basis in the right block."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    n = a.ambient_dim
+    red = RowReducer(2 * n)
+    for row in a.rows:
+        red.add({**dict(row), **{n + c: x for c, x in row}})
+    for row in b.rows:
+        red.add(dict(row))
+    inter = [{c - n: x for c, x in row} for p, row in red.echelon().items() if p >= n]
+    return Subspace.from_rows(inter, n)
+
+
+def reference_add(red: RowReducer, row) -> bool:
+    """``RowReducer.add`` with the content-reduced ``_eliminate`` step
+    against every pivot, unit lead or not: the elimination before the
+    in-place unit-lead step, which must store the same pivots."""
+    cur = red._to_sparse_int(row)
+    while cur:
+        lead = red._lead(cur)
+        piv = red._pivots.get(lead)
+        if piv is None:
+            if cur[lead] < 0:
+                cur = {c: -v for c, v in cur.items()}
+            red._pivots[lead] = cur
+            return True
+        cur = _eliminate(cur, piv, lead)
+    return False
+
+
 # -- Lie algebra constructions ---------------------------------------------------
 
 def center(L: LieAlgebra) -> Subspace:
@@ -119,8 +157,18 @@ def ad_matrix(L: LieAlgebra, x) -> Matrix:
     return Matrix.from_rows(cols, L.dim).transpose()
 
 
+def is_derivation(L: LieAlgebra, u: Matrix) -> bool:
+    """Leibniz identity u[x,y] = [u x, y] + [x, u y] on all basis pairs:
+    every row of ``L.leibniz_rows()`` vanishes at the row-major
+    flattening of ``u``."""
+    if u.rows != L.dim or u.cols != L.dim:
+        raise ValueError("endomorphism shape mismatch")
+    flat = u.flatten()
+    return not any(sum(x * flat[c] for c, x in row.items()) for row in L.leibniz_rows())
+
+
 def reference_is_derivation(L: LieAlgebra, u: Matrix) -> bool:
-    """The dense Leibniz check ``LieAlgebra.is_derivation`` used before it
+    """The dense Leibniz check :func:`is_derivation` used before it
     evaluated the sparse Leibniz rows: u[e_i, e_j] = [u e_i, e_j] + [e_i, u e_j]
     compared as dense vectors on every basis pair."""
     if u.rows != L.dim or u.cols != L.dim:
@@ -156,10 +204,53 @@ def hom_from_blocks(degree: int, blocks) -> HomElement:
                                     dict(enumerate(flat)))
 
 
+def grading_element(frame: AdaptedFrame) -> HomElement:
+    """The grading derivation D as a degree-0 element (j times the
+    identity on layer j)."""
+    shapes = _block_shapes(frame, 0, lambda t: frame.layer_dim(-t))
+    starts = accumulate((d * d for d, _ in shapes), initial=0)
+    values = {start + r * (d + 1): Fraction(l)
+              for l, (start, (d, _)) in enumerate(zip(starts, shapes), 1) for r in range(d)}
+    return HomElement.from_nonzeros(0, shapes, values)
+
+
+def reference_tower_rows(frame: AdaptedFrame, k: int, bases, dims) -> list[dict]:
+    """The degree-k Leibniz rows of ``tanaka._solve_component``, assembled
+    as before its target index: ``terms(a, b)`` walks every generator w_r
+    of the degree-t space, t = k - weight(a), and asks each for the
+    coordinates of [e_b, w_r], zero or not."""
+    weights = frame.weights
+
+    def target_dim(t: int) -> int:
+        return frame.layer_dim(-t) if t < 0 else dims[t]
+
+    shapes = _block_shapes(frame, k, target_dim)
+    offsets = list(accumulate((r * c for r, c in shapes), initial=0))
+
+    def cols(a: int) -> range:
+        l = weights[a]
+        return range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
+
+    def action(t: int, r: int, b: int) -> list:
+        if t < 0:
+            g = frame.offsets[-t - 1] + r
+            return [(q - frame.offsets[weights[b] - t - 1], x)
+                    for q, x in frame.graded._ad[b].get(g, {}).items()]
+        return [(q, -x) for q, x in bases[t][r]._image(b).items()]
+
+    def terms(a: int, b: int):
+        t = k - weights[a]
+        for r, c in enumerate(cols(a)):
+            for q, x in action(t, r, b):
+                yield q, c, x
+
+    return list(_leibniz_system(frame.graded._ad, frame.dim, cols, terms))
+
+
 def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:
     """Extend ``L`` by a new generator acting as the derivation ``d``:
     same table plus [e_{n+1}, e_i] = d(e_i)."""
-    if not L.is_derivation(d):
+    if not is_derivation(L, d):
         raise NotDerivationError("the supplied endomorphism is not a derivation")
     n = L.dim
     brackets = {(i, j): vec + (Fraction(0),) for (i, j), vec in L.table}

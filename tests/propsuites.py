@@ -19,7 +19,7 @@ from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, invert
 from carnot.tanaka import degree_zero_derivations
 
-from helpers import apply, col, matmul
+from helpers import apply, col, intersect, matmul
 
 F = Fraction
 
@@ -129,7 +129,7 @@ def subspace_dimension_formula(cases: int, seed: int = 105) -> int:
         b = Subspace.from_rows(
             [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
              for _ in range(rng.randint(0, n))], n)
-        assert (a + b).dim + a.intersect(b).dim == a.dim + b.dim
+        assert (a + b).dim + intersect(a, b).dim == a.dim + b.dim
     return cases
 
 

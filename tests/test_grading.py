@@ -23,8 +23,9 @@ from carnot.grading import (
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, unit_vec
 
-from helpers import (apply, col, from_flat, matmul, matsub, nullspace, reference_feasible_set,
-                     reference_is_stratifiable, scaled, semidirect_with_derivation)
+from helpers import (apply, col, from_flat, is_derivation, matmul, matsub, nullspace,
+                     reference_feasible_set, reference_is_stratifiable, scaled,
+                     semidirect_with_derivation)
 from propsuites import random_unimodular
 
 F = Fraction
@@ -100,7 +101,7 @@ def test_grading_derivation(example1, strat1, strat2):
     expected = Matrix.from_rows(
         [[F((1 if j < 10 else 2) if i == j else 0) for j in range(16)] for i in range(16)], 16)
     assert D == expected
-    assert example1.is_derivation(D)
+    assert is_derivation(example1, D)
     D2 = grading_derivation(strat2)
     diag = [1] * 10 + [2] * 6 + [3]
     assert D2 == Matrix.from_rows(
@@ -200,7 +201,7 @@ def test_is_stratifiable_example1(example1):
     v = is_stratifiable(example1)
     assert v.stratifiable
     assert v.witness is not None and v.derived_stratification is not None
-    assert example1.is_derivation(v.witness)
+    assert is_derivation(example1, v.witness)
     gamma2 = example1.lower_central_series().terms[1]
     for i in range(16):
         image = list(col(v.witness, i))
@@ -385,7 +386,7 @@ def test_every_feasible_derivation_is_semisimple(name):
             c = F(rng.randint(-3, 3), rng.randint(1, 2))
             point = [x + c * y for x, y in zip(point, w)]
         d = from_flat(point, n, n)
-        assert L.is_derivation(d)
+        assert is_derivation(L, d)
         dims = [nullspace(matsub(d, scaled(Matrix.identity(n), j))).dim
                 for j in range(1, series.step + 1)]
         assert dims == expected

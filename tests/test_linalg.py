@@ -16,10 +16,10 @@ from carnot.linalg import (
     solution_space,
     solve_affine,
     unit_vec,
-    zero_vec,
 )
 
-from helpers import apply, center, matmul, nullspace, rref, zeros
+from helpers import (apply, center, intersect, matmul, nullspace, reference_add, rref, zero_vec,
+                     zeros)
 from propsuites import random_unimodular
 
 F = Fraction
@@ -103,16 +103,16 @@ def test_subspace_sum_diagonal_spans():
 
 def test_intersect_trivial_cases():
     a = span([[1, 2], [0, 1]], 2)
-    assert a.intersect(Subspace.full(2)) == a
+    assert intersect(a, Subspace.full(2)) == a
     e1 = span([unit_vec(2, 0)], 2)
     e2 = span([unit_vec(2, 1)], 2)
-    assert e1.intersect(e2).dim == 0
+    assert intersect(e1, e2).dim == 0
 
 
 def test_intersect_overlapping_planes():
     a = span([unit_vec(3, 0), unit_vec(3, 1)], 3)
     b = span([unit_vec(3, 1), unit_vec(3, 2)], 3)
-    assert a.intersect(b) == span([unit_vec(3, 1)], 3)
+    assert intersect(a, b) == span([unit_vec(3, 1)], 3)
 
 
 def _intersect_oracle(a: Subspace, b: Subspace) -> Subspace:
@@ -141,13 +141,13 @@ def test_intersect_against_independent_oracle():
         n = rng.randint(1, 5)
         a = span([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
         b = span([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
-        assert a.intersect(b) == _intersect_oracle(a, b)
+        assert intersect(a, b) == _intersect_oracle(a, b)
 
 
 def test_dimension_formula_examples():
     a = span([[1, 0, 0], [0, 1, 0]], 3)
     b = span([[0, 1, 0], [0, 0, 1]], 3)
-    assert (a + b).dim + a.intersect(b).dim == a.dim + b.dim
+    assert (a + b).dim + intersect(a, b).dim == a.dim + b.dim
 
 
 def test_membership():
@@ -603,6 +603,47 @@ def test_to_sparse_int_matches_lcm_route():
         _, fed, width = _mixed_system(rng)
         red = RowReducer(width)
         assert all(red._to_sparse_int(row) == _lcm_route(row, width) for row in fed)
+
+
+# -- the in-place unit-lead step of RowReducer.add -----------------------------
+
+def test_unit_lead_step_reduces_content_when_stored():
+    # (1, -1) minus the unit pivot (1, 1) leaves (0, -2), of content 2:
+    # the stored pivot is the primitive row with positive lead
+    for reverse, first, second, col in ((False, {0: 1, 1: 1}, {0: 1, 1: -1}, 1),
+                                        (True, {1: 1, 0: 1}, {1: 1, 0: -1}, 0)):
+        red = RowReducer(2, reverse)
+        assert red.add(first) and red.add(second)
+        assert red._pivots[col] == {col: 1}
+        assert red.echelon() == {0: ((0, F(1)),), 1: ((1, F(1)),)}
+
+
+def test_add_leaves_the_callers_row_unchanged():
+    red = RowReducer(3)
+    rows = [{0: 1, 1: 2}, {0: 1, 1: 2, 2: 4}, {0: 3, 1: 6, 2: 4}, {0: F(1, 2), 1: "1"}]
+    copies = [dict(row) for row in rows]
+    assert [red.add(row) for row in rows] == [True, True, False, False]
+    assert rows == copies
+    assert all(piv is not row for piv in red._pivots.values() for row in rows)
+
+
+def test_add_matches_a_reduce_every_step_reference():
+    # _eliminate at every step (a new content-reduced row each time) and
+    # the in-place unit-lead step store the same pivots, so the echelon
+    # rows and the nullspace agree too, on integral and mixed systems
+    rng = random.Random(1616)
+    unit_leads = set()
+    for i in range(300):
+        _, fed, width = (_random_system if i % 2 else _mixed_system)(rng)
+        for reverse in (False, True):
+            red, ref = RowReducer(width, reverse), RowReducer(width, reverse)
+            for row in fed:
+                assert red.add(row) == reference_add(ref, row)
+                assert red._pivots == ref._pivots
+            assert red.echelon() == ref.echelon()
+            assert red.sparse_nullspace() == ref.sparse_nullspace()
+            unit_leads.update(piv[p] == 1 for p, piv in red._pivots.items())
+    assert unit_leads == {True, False}  # both kinds of step were taken
 
 
 # -- Record: the immutable base of the value classes ---------------------------

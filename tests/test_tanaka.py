@@ -9,7 +9,7 @@ from carnot.algfile import parse
 from carnot.grading import (coordinate_layers, grading_derivation, is_stratifiable,
                             verify_stratification)
 from carnot.liealg import LieAlgebra
-from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, solve_affine, unit_vec, zero_vec
+from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, solve_affine, unit_vec
 from carnot.tanaka import (
     AdaptedFrame,
     ComponentNotComputedError,
@@ -18,14 +18,14 @@ from carnot.tanaka import (
     ProlongationResult,
     _solve_component,
     degree_zero_derivations,
-    grading_element,
     hom0_to_endo,
     prolong,
     ultrarigidity_check,
 )
 
-from helpers import (apply, from_flat, hom_blocks, hom_from_blocks, nullspace, pair_rows,
-                     random_two_step, rref, two_step_dual, two_step_g0_dim, two_step_type, zeros)
+from helpers import (apply, from_flat, grading_element, hom_blocks, hom_from_blocks, intersect,
+                     is_derivation, nullspace, pair_rows, random_two_step, reference_tower_rows,
+                     rref, two_step_dual, two_step_g0_dim, two_step_type, zero_vec, zeros)
 
 F = Fraction
 
@@ -131,7 +131,7 @@ def test_g0_equals_derivations_intersect_layer_preserving(name):
     L = entry.algebra
     s = strat_of(entry)
     g0 = degree_zero_derivations(L, s)
-    dual = L.derivation_algebra().intersect(block_diagonal_span(s.layer_dims))
+    dual = intersect(L.derivation_algebra(), block_diagonal_span(s.layer_dims))
     assert g0 == dual
 
 
@@ -184,7 +184,7 @@ def test_g0_free_contains_induced_maps():
                     val -= A[c][b]
                 rows[3 + u][3 + t] = val
         induced = Matrix.from_rows(rows, 6)
-        assert L.is_derivation(induced)
+        assert is_derivation(L, induced)
         assert g0.contains(induced.flatten())
 
 
@@ -193,7 +193,7 @@ def test_g0_elements_are_block_diagonal_derivations(ex1):
     g0 = degree_zero_derivations(L, s)
     for flat in g0.basis_rows():
         u = from_flat(flat, 16, 16)
-        assert L.is_derivation(u)
+        assert is_derivation(L, u)
         for v in s.layers:
             for row in v.basis_rows():
                 assert v.contains(apply(u, row))
@@ -247,23 +247,11 @@ def test_sparse_bases_equal_dense_solution_space(name, cap, monkeypatch):
     # solve the same rows with the dense solution_space; independently of
     # the elimination order, each stored vector solves every row and the
     # count is width - rank from a plain (lowest-lead) reducer
-    import carnot.tanaka
     from carnot.linalg import RowReducer
-
-    systems = []
-    real = carnot.tanaka.solution_space
-
-    def recording(rows, width):
-        rows = [dict(row) for row in rows]
-        systems.append((width, rows))
-        return real(rows, width)
 
     entry = catalog.get(name)
     s = strat_of(entry)
-    with monkeypatch.context() as m:
-        m.setattr(carnot.tanaka, "solution_space", recording)
-        result = prolong(entry.algebra, s, cap)
-    assert len(systems) == len(result.bases)
+    result, systems = _recorded_tower_rows(entry.algebra, s, cap, monkeypatch)
     for k, ((width, rows), basis) in enumerate(zip(systems, result.bases)):
         flats = tuple(el.flatten() for el in basis)
         assert flats == solution_space(rows, width).basis_rows()
@@ -283,6 +271,55 @@ def test_sparse_bases_equal_dense_solution_space(name, cap, monkeypatch):
             assert not any(residual.values())
     again = prolong(entry.algebra, s, cap)
     assert again == result and hash(again) == hash(result)
+
+
+def _recorded_tower_rows(L, s, cap, monkeypatch):
+    """The tower of ``L`` to ``cap`` and the (width, rows) that each degree
+    handed to ``solution_space``, rows as generated."""
+    import carnot.tanaka
+
+    systems = []
+    real = carnot.tanaka.solution_space
+
+    def recording(rows, width):
+        rows = [dict(row) for row in rows]
+        systems.append((width, rows))
+        return real(rows, width)
+
+    with monkeypatch.context() as m:
+        m.setattr(carnot.tanaka, "solution_space", recording)
+        result = prolong(L, s, cap)
+    assert len(systems) == len(result.bases)
+    return result, systems
+
+
+def test_tower_system_sizes_heisenberg7(monkeypatch):
+    # (unknowns, Leibniz rows, rank) per degree of the contact tower of
+    # heisenberg_2n1(3); rank = unknowns - dim g_k, dims (22, 62, 148, 314)
+    entry = catalog.get("heisenberg_2n1(3)")
+    result, systems = _recorded_tower_rows(entry.algebra, strat_of(entry), 3, monkeypatch)
+    sizes = [(width, len(rows), width - len(basis))
+             for (width, rows), basis in zip(systems, result.bases)]
+    assert sizes == [(37, 15, 15), (138, 96, 76), (394, 366, 246), (950, 1062, 636)]
+
+
+@pytest.mark.parametrize("name, cap", [("heisenberg_2n1(2)", 3), ("example2_17", 1),
+                                       ("rational_heisenberg3", 3)])
+def test_tower_rows_match_every_generator_assembly(name, cap, monkeypatch):
+    # the target index walks only the generators w_r with [e_b, w_r] != 0;
+    # the rows equal, row for row and in order, those of the assembly that
+    # asks every generator
+    if name == "rational_heisenberg3":
+        L = rational_heisenberg3()
+        s = is_stratifiable(L).derived_stratification
+    else:
+        entry = catalog.get(name)
+        L, s = entry.algebra, strat_of(entry)
+    result, systems = _recorded_tower_rows(L, s, cap, monkeypatch)
+    for k, (width, rows) in enumerate(systems):
+        assert rows == reference_tower_rows(result.frame, k, result.bases[:k], result.dims[:k])
+        assert width == sum(r * c for r, c in result._shapes(k))
+    assert any(rows for _, rows in systems)
 
 
 def test_prolong_stores_canonical_bases():
@@ -417,7 +454,7 @@ def _brute_g1_dim_two_step(L, layer_dims):
 
     n = L.dim
     d1, d2 = layer_dims
-    g0 = L.derivation_algebra().intersect(block_diagonal_span(layer_dims))
+    g0 = intersect(L.derivation_algebra(), block_diagonal_span(layer_dims))
     g0_mats = [from_flat(flat, n, n) for flat in g0.basis_rows()]
     m = len(g0_mats)
     width = d1 * m + d2 * d1  # u1 coords then u2 coords (column-major per source)
@@ -965,7 +1002,7 @@ def test_hom0_to_endo_roundtrip(h3, h3_prolonged):
     for el in h3_prolonged.bases[0]:
         endo = hom0_to_endo(frame, el)
         assert g0.contains(endo.flatten())
-        assert L.is_derivation(endo)
+        assert is_derivation(L, endo)
 
 
 def _assert_dual_pair(L):
