@@ -15,11 +15,16 @@ from typing import Optional
 
 from . import algfile
 from .liealg import LieAlgebra
-from .linalg import Record
+from .linalg import Record, unit_vec
 
 
 class UnknownEntryError(ValueError):
     pass
+
+
+class EntryParameterError(UnknownEntryError):
+    """A family name whose parameter is not positive or gives a dimension
+    above ``algfile.MAX_DIM``."""
 
 
 class ExpectedFacts(Record):
@@ -100,7 +105,7 @@ def _abelian(n: int) -> CatalogEntry:
 
 def _heisenberg(n: int) -> CatalogEntry:
     dim = 2 * n + 1
-    center = tuple(1 if k == dim - 1 else 0 for k in range(dim))
+    center = unit_vec(dim, dim - 1)
     brackets = {(i, n + i): center for i in range(n)}
     algebra = LieAlgebra.from_brackets(dim, brackets).validated()
     expected = ExpectedFacts(step=2, layer_dims=(2 * n, 1),
@@ -109,28 +114,37 @@ def _heisenberg(n: int) -> CatalogEntry:
                         expected, f"Heisenberg algebra of dimension {dim}")
 
 
+def _parameter(name: str, digits: str, family: str, dim_of) -> int:
+    """The parameter n of the name ``family(n)``, checked before anything
+    of its dimension ``dim_of(n)`` is built."""
+    try:
+        n = int(digits)
+    except ValueError:  # past the interpreter's integer-string limit
+        n = None
+    if n is not None and n < 1:
+        raise EntryParameterError(f"{family}(n) needs n >= 1, got {name}")
+    if n is None or dim_of(n) > algfile.MAX_DIM:
+        raise EntryParameterError(f"{family}(n) has dimension above the ceiling {algfile.MAX_DIM}")
+    return n
+
+
 @lru_cache(maxsize=None)
 def get(name: str) -> CatalogEntry:
     """Look up a catalog entry by name.
 
     Fixed names: example1_16, example2_17, deformed_h_16, heisenberg_3,
     free_step2_rank3.  Parameterized: abelian(n) for n >= 1 and
-    heisenberg_2n1(n) for n >= 1.
+    heisenberg_2n1(n) for n >= 1, up to the dimension ceiling
+    ``algfile.MAX_DIM``.
     """
     if name in _FIXED:
         return _load_fixed(name)
     m = _ABELIAN_RE.match(name)
     if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise UnknownEntryError(f"abelian dimension must be positive: {name}")
-        return _abelian(n)
+        return _abelian(_parameter(name, m.group(1), "abelian", lambda n: n))
     m = _HEISENBERG_RE.match(name)
     if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise UnknownEntryError(f"heisenberg parameter must be positive: {name}")
-        return _heisenberg(n)
+        return _heisenberg(_parameter(name, m.group(1), "heisenberg_2n1", lambda n: 2 * n + 1))
     raise UnknownEntryError(f"unknown catalog entry: {name}")
 
 

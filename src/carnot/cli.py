@@ -45,6 +45,8 @@ def _resolve(source: str) -> tuple[str, LieAlgebra, Optional[tuple[tuple[int, in
         return source, parsed.algebra, parsed.layer_ranges
     try:
         entry = catalog.get(source)
+    except catalog.EntryParameterError as e:
+        raise CliError(str(e), 2) from None
     except UnknownEntryError:
         raise CliError(f"no such file or catalog entry: {source}", 2) from None
     return f"catalog:{source}", entry.algebra, entry.declared_layers

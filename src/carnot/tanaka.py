@@ -27,7 +27,9 @@ and the bracket is a table of structure constants, the coordinates of
 [b^k_i, b^m_j] in the stored basis of g_{k+m}, filled on first use from
 [u, v](X) = [u, [v, X]] - [v, [u, X]] with inner brackets of nonnegative
 degree read from entries of lower total degree, each checked to lie in
-the computed component.
+the computed component.  The bracket is antisymmetric, so each unordered
+pair of basis vectors is computed once and its mirror stored as the exact
+negation.
 
 The private indexes (element images, basis rows, the bracket table) hold
 integral values as ``int`` (``linalg._lean``); every public value
@@ -311,7 +313,8 @@ class ProlongationResult(Record):
     vanishes too, so computation stops there) and None when the cap was
     reached with the last component still nonzero.
 
-    ``bracket`` reads a table of basis structure constants, and
+    ``bracket`` reads a table of basis structure constants, each unordered
+    pair computed once and the other order stored as its exact negation, and
     ``coordinates_of`` reads, per degree, the block shapes, the pivot
     columns and the basis rows with integral values as ``int``.  Both are
     filled lazily and kept in the instance ``__dict__``, outside the
@@ -403,13 +406,19 @@ class ProlongationResult(Record):
         return {}
 
     def _entry(self, k: int, i: int, m: int, j: int) -> dict[int, Fraction]:
-        """Table entry (k, i, m, j), computing it on first use from
+        """Table entry (k, i, m, j), computed once per unordered pair.  The
+        canonical order (k, i) <= (m, j) is computed on first use from
         [u, v](X) = [u, [v, X]] - [v, [u, X]] over the basis vectors X of
         each layer.  An inner bracket of nonnegative degree has total
         degree below k + m and is read from the table; the result is
-        checked to lie in the computed g_{k+m}."""
+        checked to lie in the computed g_{k+m}.  The other order is the
+        exact negation of the canonical entry, as the formula is
+        antisymmetric term by term."""
         key = (k, i, m, j)
         if key in self._table:
+            return self._table[key]
+        if (m, j) < (k, i):
+            self._table[key] = {q: -y for q, y in self._entry(m, j, k, i).items()}
             return self._table[key]
         u, v = self.basis(k)[i], self.basis(m)[j]
         values: dict[int, Fraction] = {}

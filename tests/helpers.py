@@ -55,7 +55,8 @@ def apply(m: Matrix, v) -> Vec:
     vv = as_vec(v)
     if len(vv) != m.cols:
         raise ValueError(f"expected vector of length {m.cols}, got {len(vv)}")
-    return tuple(sum((a * b for a, b in zip(row, vv)), Fraction(0)) for row in m.entries)
+    nonzero = [(j, b) for j, b in enumerate(vv) if b]
+    return tuple(sum((row[j] * b for j, b in nonzero), Fraction(0)) for row in m.entries)
 
 
 def matmul(*ms: Matrix) -> Matrix:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from carnot import catalog
-from carnot.algfile import AlgebraFileError, emit, parse
+from carnot.algfile import MAX_DIM, AlgebraFileError, emit, parse
 from carnot.liealg import LieAlgebra
 
 F = Fraction
@@ -60,12 +60,17 @@ def test_parse_repeated_target_accumulates():
     ("dim 4\nlayers 1..2; 3..4\nlayers 1..4\n", 3, "duplicate layers"),
     ("dim 4\nlayers 1-2; 3-4\n", 2, "bad layer range"),
     ("", 1, "missing dim"),
+    (f"dim {MAX_DIM + 1}\n", 1, f"ceiling {MAX_DIM}"),
 ])
 def test_parse_diagnostics_carry_line_numbers(text, line, fragment):
     with pytest.raises(AlgebraFileError) as err:
         parse(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+def test_dimension_ceiling_itself_parses():
+    assert parse(f"dim {MAX_DIM}\n").algebra.dim == MAX_DIM
 
 
 def test_emit_golden_heisenberg():

@@ -91,6 +91,15 @@ def test_unknown_names_rejected():
             catalog.get(name)
 
 
+def test_family_dimension_ceiling():
+    MAX_DIM = algfile.MAX_DIM
+    assert catalog.get(f"abelian({MAX_DIM})").algebra.dim == MAX_DIM
+    for name in [f"abelian({MAX_DIM + 1})", f"heisenberg_2n1({(MAX_DIM + 1) // 2})",
+                 "abelian(" + "9" * 5000 + ")"]:
+        with pytest.raises(UnknownEntryError, match=f"ceiling {MAX_DIM}"):
+            catalog.get(name)
+
+
 @pytest.mark.parametrize("name", ["example1_16", "example2_17", "deformed_h_16",
                                   "heisenberg_3", "free_step2_rank3"])
 def test_data_files_match_loaded_entries(name):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from carnot.algfile import MAX_DIM
 from carnot.cli import main
 
 
@@ -55,6 +56,35 @@ def test_check_bracket_free_dim_2000_subprocess(tmp_path):
         capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0
     assert "jacobi: ok" in proc.stdout
+
+
+_LONG = "1" * 5000  # past the interpreter's integer-string limit of 4300 digits
+_NO_DIGIT_LIMIT = not getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("source,text,fragment", [
+    (f"abelian({_LONG})", None, "ceiling"),
+    (f"heisenberg_2n1({_LONG})", None, "ceiling"),
+    ("abelian(999999999)", None, "ceiling"),
+    ("heisenberg_2n1(99999999999)", None, "ceiling"),
+    ("dim", "dim 999999999\n", "line 1: dimension exceeds the ceiling"),
+    ("dim", f"dim {_LONG}\n", "line 1:"),
+    ("layers", f"dim 3\nlayers 1..{_LONG}\n", "line 2:"),
+    ("index", f"dim 3\nbracket 1 {_LONG} = 3\n", "line 2:"),
+    pytest.param("coefficient", f"dim 3\nbracket 1 2 = {_LONG}*3\n", "line 2:",
+                 marks=pytest.mark.skipif(_NO_DIGIT_LIMIT, reason="no integer-string limit")),
+])
+def test_huge_numbers_exit_2_with_a_message(capsys, tmp_path, source, text, fragment):
+    if text is not None:
+        source = tmp_path / f"{source}.alg"
+        source.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(source))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("carnot: ") and fragment in err
+    assert "Traceback" not in err
+    if fragment == "ceiling":
+        assert f"ceiling {MAX_DIM}" in err
 
 
 def test_series_command(capsys):
@@ -267,6 +297,7 @@ def test_startup_imports_no_introspection_modules():
 import io, sys
 from contextlib import redirect_stdout
 before = set(sys.modules)
+from carnot.algfile import MAX_DIM
 from carnot.cli import main
 with redirect_stdout(io.StringIO()):
     assert main(["report", "example1_16"]) == 0

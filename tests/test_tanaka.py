@@ -609,7 +609,13 @@ def _ref_zero_element(frame, k, dims):
     return hom_from_blocks(k, tuple(blocks))
 
 
-def _ref_coordinates(result, el):
+def _ref_coordinates(result, el, memo=None):
+    """Coordinates of ``el`` by a dense affine solve; ``memo``, when given,
+    keeps them under ``el``."""
+    if memo is not None:
+        if el not in memo:
+            memo[el] = _ref_coordinates(result, el)
+        return memo[el]
     basis = result.bases[el.degree]
     flat = el.flatten()
     if not basis:
@@ -636,7 +642,7 @@ def _ref_apply_value(result, w, deg, coords, memo):
             if key not in memo:
                 memo[key] = ref_bracket(result, w, result.bases[deg][r], memo)
             acc = acc + memo[key].scaled(cr)
-    return out_deg, _ref_coordinates(result, acc)
+    return out_deg, _ref_coordinates(result, acc, memo)
 
 
 def ref_bracket(result, u, v, memo=None):
@@ -644,7 +650,8 @@ def ref_bracket(result, u, v, memo=None):
     ``_ref_apply_value`` and checking membership of the result.
 
     ``memo`` maps ``(w, t, r)`` to the inner bracket [w, b^t_r] against
-    the r-th stored basis vector of g_t.  It belongs to the caller, who
+    the r-th stored basis vector of g_t, and an element of g_t to its
+    coordinates.  It belongs to the caller, who
     may share it across calls on one result; the library's table of
     structure constants is never read."""
     if memo is None:
@@ -669,7 +676,7 @@ def ref_bracket(result, u, v, memo=None):
         else:
             blocks.append(Matrix.from_rows(cols, td).transpose())
     out = hom_from_blocks(K, tuple(blocks))
-    _ref_coordinates(result, out)
+    _ref_coordinates(result, out, memo)
     return out
 
 
@@ -764,6 +771,44 @@ def test_bracket_matches_reference_on_a_non_integral_table():
                 for v in result.bases[m]:
                     want = ref_bracket(result, u, v, memo)
                     assert result.bracket(u, v).flatten() == want.flatten()
+
+
+@pytest.mark.parametrize("name,cap", [("heisenberg_3", 3), ("heisenberg_2n1(2)", 2),
+                                      ("rational_heisenberg3", 2)])
+def test_bracket_table_does_not_depend_on_fill_order(name, cap):
+    # each unordered basis pair is computed once and the other order stored
+    # as its negation, so asking all pairs in ascending or in descending
+    # order must give the same table and the reference bracket
+    if name == "rational_heisenberg3":
+        L = rational_heisenberg3()
+        s = is_stratifiable(L).derived_stratification
+    else:
+        entry = catalog.get(name)
+        L, s = entry.algebra, strat_of(entry)
+    up, down = prolong(L, s, cap), prolong(L, s, cap)
+    keys = sorted((k, i, m, j) for k in range(cap + 1) for m in range(cap + 1 - k)
+                  for i in range(up.dims[k]) for j in range(up.dims[m]))
+    got_up, got_down = ({key: result.bracket(result.bases[key[0]][key[1]],
+                                             result.bases[key[2]][key[3]]) for key in order}
+                        for result, order in ((up, keys), (down, keys[::-1])))
+    assert up._table == down._table
+    memo = {}
+    for k, i, m, j in keys:
+        want = ref_bracket(up, up.bases[k][i], up.bases[m][j], memo).flatten()
+        assert got_up[k, i, m, j].flatten() == got_down[k, i, m, j].flatten() == want
+        assert got_up[k, i, m, j] == got_up[m, j, k, i].scaled(-1)
+    # the mirrored entries are cached, and both inputs are still checked:
+    # g_1 is determined by its V1 block, so bumping its V2 block leaves g_1
+    for result in (up, down):
+        v1, v2 = hom_blocks(result.bases[1][0])
+        bumped = [list(row) for row in v2.entries]
+        bumped[0][0] += 1
+        bad = hom_from_blocks(1, (v1, Matrix.from_rows(bumped, v2.cols)))
+        for other in (result.bases[0][0], result.bases[1][-1]):
+            with pytest.raises(MembershipError):
+                result.bracket(bad, other)
+            with pytest.raises(MembershipError):
+                result.bracket(other, bad)
 
 
 def _public_scalars(L):
