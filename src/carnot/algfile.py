@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .liealg import LieAlgebra
-from .linalg import Vec
+from .linalg import SparseRow
 
 _DIM_RE = re.compile(r"^dim\s+(\d+)$")
 _BRACKET_RE = re.compile(r"^bracket\s+(\d+)\s+(\d+)\s*=\s*(.+)$")
@@ -52,7 +52,7 @@ class ParsedAlgebra(NamedTuple):
 def parse(text: str) -> ParsedAlgebra:
     dim: int | None = None
     layers: Optional[tuple[tuple[int, int], ...]] = None
-    brackets: dict[tuple[int, int], list[Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,7 +91,7 @@ def parse(text: str) -> ParsedAlgebra:
         raise AlgebraFileError(lineno, f"unrecognized line: {line!r}")
     if dim is None:
         raise AlgebraFileError(1, "missing dim line")
-    algebra = LieAlgebra.from_brackets(dim, {k: tuple(v) for k, v in brackets.items()})
+    algebra = LieAlgebra.from_brackets(dim, brackets)
     return ParsedAlgebra(algebra, layers)
 
 
@@ -125,8 +125,8 @@ def _parse_layers(rest: str, dim: int, lineno: int) -> tuple[tuple[int, int], ..
     return tuple(ranges)
 
 
-def _parse_terms(rhs: str, dim: int, lineno: int) -> list[Fraction]:
-    vec = [Fraction(0)] * dim
+def _parse_terms(rhs: str, dim: int, lineno: int) -> dict[int, Fraction]:
+    coords: dict[int, Fraction] = {}
     for term in rhs.split("+"):
         term = term.strip()
         m = _TERM_RE.match(term)
@@ -145,24 +145,22 @@ def _parse_terms(rhs: str, dim: int, lineno: int) -> list[Fraction]:
                 raise AlgebraFileError(lineno, f"bad fraction: {coef_str!r}") from None
             except ValueError:  # past the interpreter's integer-string limit
                 raise AlgebraFileError(lineno, "coefficient is too long") from None
-        vec[idx - 1] += coef
-    return vec
+        coords[idx - 1] = coords.get(idx - 1, 0) + coef
+    return coords
 
 
 def _format_coeff(c: Fraction) -> str:
     return str(c)  # Fraction renders as "p" or "p/q"
 
 
-def format_vector(vec: Vec) -> str:
-    """Canonical rendering of a coordinate vector as a bracket RHS."""
+def format_vector(row: SparseRow) -> str:
+    """Canonical rendering of a sparse row as a bracket RHS."""
     terms = []
-    for idx, c in enumerate(vec, start=1):
-        if c == 0:
-            continue
+    for k, c in row:
         if c == 1:
-            terms.append(str(idx))
+            terms.append(str(k + 1))
         else:
-            terms.append(f"{_format_coeff(c)}*{idx}")
+            terms.append(f"{_format_coeff(c)}*{k + 1}")
     return " + ".join(terms) if terms else "0*1"
 
 
@@ -172,6 +170,6 @@ def emit(algebra: LieAlgebra,
     lines = [f"dim {algebra.dim}"]
     if layer_ranges:
         lines.append("layers " + "; ".join(f"{lo}..{hi}" for lo, hi in layer_ranges))
-    for (i, j), vec in algebra.table:
-        lines.append(f"bracket {i + 1} {j + 1} = {format_vector(vec)}")
+    for (i, j), row in algebra.table:
+        lines.append(f"bracket {i + 1} {j + 1} = {format_vector(row)}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import algfile
 from .liealg import LieAlgebra
-from .linalg import Record, unit_vec
+from .linalg import Record
 
 
 class UnknownEntryError(ValueError):
@@ -105,8 +105,7 @@ def _abelian(n: int) -> CatalogEntry:
 
 def _heisenberg(n: int) -> CatalogEntry:
     dim = 2 * n + 1
-    center = unit_vec(dim, dim - 1)
-    brackets = {(i, n + i): center for i in range(n)}
+    brackets = {(i, n + i): {dim - 1: 1} for i in range(n)}
     algebra = LieAlgebra.from_brackets(dim, brackets).validated()
     expected = ExpectedFacts(step=2, layer_dims=(2 * n, 1),
                              ultrarigid=False, stratifiable=True)

@@ -19,7 +19,6 @@ from . import algfile, catalog, grading, report, tanaka
 from .algfile import AlgebraFileError
 from .catalog import UnknownEntryError
 from .liealg import LieAlgebra, NotLieAlgebraError
-from .linalg import Subspace, unit_vec
 
 
 class CliError(Exception):
@@ -161,8 +160,7 @@ def _cmd_gr(args) -> int:
     lo, hi = _parse_range(args.horizontal)
     if not (1 <= lo <= hi <= algebra.dim):
         raise CliError(f"horizontal range {lo}..{hi} out of 1..{algebra.dim}", 2)
-    horizontal = Subspace.from_rows(
-        [unit_vec(algebra.dim, i) for i in range(lo - 1, hi)], algebra.dim)
+    horizontal = grading.coordinate_layers(algebra.dim, [(lo, hi)])[0]
     try:
         result = grading.nilpotentisation(algebra, horizontal)
     except (grading.NotBracketGeneratingError, grading.StratificationError) as e:

@@ -36,7 +36,6 @@ from .linalg import (
     RowReducer,
     Scalar,
     Subspace,
-    Vec,
     _dense_vec,
     invert,
     quotient_basis,
@@ -240,7 +239,7 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
     a_cols = adapted.transpose()
     a_inv = invert(a_cols)
     assert a_inv is not None
-    brackets: dict[tuple[int, int], Vec] = {}
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (a, b), coords in L._transported(a_cols, a_inv):
         w = weights[a] + weights[b]
         # brackets respect the filtration: nothing above weight w
@@ -249,7 +248,7 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
             continue
         graded = {k: c for k, c in coords.items() if weights[k] == w}
         if graded:
-            brackets[(a, b)] = tuple(graded.get(k, Fraction(0)) for k in range(n))
+            brackets[(a, b)] = graded
     gr = LieAlgebra.from_brackets(n, brackets).validated()
     ranges = consecutive_ranges([weights.count(w) for w in range(1, s + 1)])
     strat = verify_stratification(gr, coordinate_layers(n, ranges))

@@ -1,11 +1,13 @@
 """Lie algebras as structure-constant tables over the rationals.
 
 A ``LieAlgebra`` stores a sparse antisymmetric bracket table: only pairs
-``(i, j)`` with ``i < j`` are kept, so antisymmetry holds by construction
-and the Jacobi identity is the only thing left to check.  Every reader of
-the table (brackets, Jacobi, Leibniz rows, bracket spans, series) goes
-through one sparse index with both orientations, built once per object, so
-work scales with the nonzero brackets rather than with ``dim**3``.  The
+``(i, j)`` with ``i < j`` and a nonzero bracket are kept, each with the
+sparse row (``linalg.SparseRow``) of [e_i, e_j], so antisymmetry holds by
+construction and the Jacobi identity is the only thing left to check.
+Every reader of the table (brackets, Jacobi, Leibniz rows, bracket spans,
+series) goes through one sparse index with both orientations, built once
+per object, so work scales with the nonzero brackets rather than with
+``dim**3``, and the table itself costs no ``dim``-long vector.  The
 index holds integral values as ``int`` (``linalg._lean``).  Basis
 indices are 0-based internally; the default labels are ``e1..en``.
 
@@ -16,14 +18,16 @@ the blocks of one degree of the tower (``tanaka._solve_component``).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .linalg import (
     Matrix,
     Record,
     Scalar,
+    SparseRow,
     Subspace,
     Vec,
     _dense_vec,
@@ -31,7 +35,7 @@ from .linalg import (
     _sparse_cols,
     as_vec,
     invert,
-    is_zero_vec,
+    rat,
     solution_space,
 )
 
@@ -84,8 +88,11 @@ def _leibniz_system(ad, n: int, cols: Callable[[int], Sequence[int]],
 class LieAlgebra(Record):
     """Structure-constant table of a (candidate) Lie algebra.
 
-    ``table`` maps ordered basis pairs (i, j), i < j, to the coordinate
-    vector of [e_i, e_j]; missing pairs bracket to zero.  Construction is
+    ``table`` pairs each ordered basis pair (i, j), i < j, with the sparse
+    row of [e_i, e_j]: its nonzero ``(k, Fraction)`` coordinates in
+    ascending k, never empty; missing pairs bracket to zero.
+    :meth:`from_brackets` takes each bracket as a dense vector of length
+    ``dim`` or a ``{k: value}`` mapping.  Construction is
     "raw": the Jacobi identity is not enforced, so the checker itself can
     be exercised on broken tables.  Use :meth:`validated` when the table
     is supposed to be a Lie algebra.
@@ -93,11 +100,11 @@ class LieAlgebra(Record):
 
     dim: int
     labels: tuple[str, ...]
-    table: tuple[tuple[tuple[int, int], Vec], ...]
+    table: tuple[tuple[tuple[int, int], SparseRow], ...]
 
     @staticmethod
     def from_brackets(dim: int,
-                      brackets: Mapping[tuple[int, int], Iterable[Scalar]],
+                      brackets: Mapping[tuple[int, int], Iterable[Scalar] | Mapping[int, Scalar]],
                       labels: Sequence[str] | None = None) -> "LieAlgebra":
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
@@ -111,11 +118,15 @@ class LieAlgebra(Record):
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
-            vec = as_vec(value)
-            if len(vec) != dim:
-                raise ValueError(f"bracket value for ({i}, {j}) has wrong length")
-            if not is_zero_vec(vec):
-                entries[(i, j)] = vec
+            if not isinstance(value, Mapping):
+                value = dict(enumerate(value))
+                if len(value) != dim:
+                    raise ValueError(f"bracket value for ({i}, {j}) has wrong length")
+            if not all(0 <= k < dim for k in value):
+                raise ValueError(f"bracket value for ({i}, {j}) has an index outside 0..{dim - 1}")
+            row = tuple(sorted((k, x) for k, c in value.items() if (x := rat(c))))
+            if row:
+                entries[(i, j)] = row
         table = tuple(sorted(entries.items()))
         return LieAlgebra(dim, labels, table)
 
@@ -135,11 +146,10 @@ class LieAlgebra(Record):
         ``_ad[i][j] = {k: c}`` with [e_i, e_j] = sum c e_k, nonzero
         brackets only, integral ``c`` as ``int``."""
         ad: tuple[dict[int, dict[int, Fraction]], ...] = tuple({} for _ in range(self.dim))
-        for (i, j), vec in self.table:
-            coords = {k: _lean(c) for k, c in enumerate(vec) if c}
-            if coords:
-                ad[i][j] = coords
-                ad[j][i] = {k: -c for k, c in coords.items()}
+        for (i, j), row in self.table:
+            coords = {k: _lean(c) for k, c in row}
+            ad[i][j] = coords
+            ad[j][i] = {k: -c for k, c in coords.items()}
         return ad
 
     def bracket_basis(self, i: int, j: int) -> Vec:
@@ -288,8 +298,7 @@ class LieAlgebra(Record):
     def _changed_basis(self, p: Matrix, p_inv: Matrix) -> "LieAlgebra":
         """:meth:`change_of_basis` for a caller that already holds
         ``p_inv``, the inverse of ``p``."""
-        brackets = {ij: _dense_vec(w.items(), self.dim) for ij, w in self._transported(p, p_inv)}
-        return LieAlgebra.from_brackets(self.dim, brackets, self.labels)
+        return LieAlgebra.from_brackets(self.dim, dict(self._transported(p, p_inv)), self.labels)
 
     def _transported(self, p: Matrix, p_inv: Matrix):
         """Yield ``((i, j), {k: c})`` for each nonzero [P e_i, P e_j],

@@ -12,7 +12,8 @@ and nothing generated at import time.
 
 One row format: a sparse row is the tuple of its nonzero
 ``(column, Fraction)`` pairs in ascending columns (``SparseRow``, the
-format of ``tanaka.HomElement.entries``).  A ``Subspace`` keeps its
+format of ``tanaka.HomElement.entries`` and of each bracket of
+``liealg.LieAlgebra.table``).  A ``Subspace`` keeps its
 canonical reduced row echelon basis as sparse rows, so equality of
 subspaces is equality of those tuples; ``basis_rows()`` is the dense
 view for rendering.  ``Matrix`` is the dense exchange format of basis
@@ -82,10 +83,6 @@ def as_vec(values: Iterable[Scalar]) -> Vec:
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def is_zero_vec(v: Vec) -> bool:
-    return all(a == 0 for a in v)
 
 
 class Record:

@@ -82,7 +82,6 @@ class AdaptedFrame(Record):
 
     algebra: LieAlgebra
     stratification: Stratification
-    adapted: Matrix          # rows are the adapted basis vectors
     cols: Matrix             # adapted vectors as columns
     cols_inv: Matrix
     graded: LieAlgebra       # the algebra in adapted coordinates
@@ -94,8 +93,7 @@ class AdaptedFrame(Record):
         if s.ambient_dim != L.dim:
             raise ValueError("stratification ambient dimension mismatch")
         rows = [row for v in s.layers for row in v.basis_rows()]
-        adapted = Matrix.from_rows(rows, L.dim)
-        cols = adapted.transpose()
+        cols = Matrix(L.dim, L.dim, tuple(zip(*rows)))
         cols_inv = invert(cols)
         assert cols_inv is not None
         graded = L._changed_basis(cols, cols_inv)
@@ -104,7 +102,7 @@ class AdaptedFrame(Record):
         for j, v in enumerate(s.layers):
             weights.extend([j + 1] * v.dim)
             offsets.append(offsets[-1] + v.dim)
-        frame = AdaptedFrame(L, s, adapted, cols, cols_inv, graded,
+        frame = AdaptedFrame(L, s, cols, cols_inv, graded,
                              tuple(weights), tuple(offsets))
         frame._check_graded()
         return frame
@@ -112,10 +110,10 @@ class AdaptedFrame(Record):
     def _check_graded(self) -> None:
         # [V_i, V_j] lands entirely in V_{i+j} for a valid stratification
         sdeg = self.step
-        for (i, j), vec in self.graded.table:
+        for (i, j), row in self.graded.table:
             w = self.weights[i] + self.weights[j]
-            for k, x in enumerate(vec):
-                if x and (w > sdeg or self.weights[k] != w):
+            for k, _ in row:
+                if w > sdeg or self.weights[k] != w:
                     raise ValueError("transported table is not graded; invalid stratification")
 
     @property

@@ -19,8 +19,8 @@ from carnot.grading import (
     verify_stratification,
 )
 from carnot.liealg import LieAlgebra, _leibniz_system
-from carnot.linalg import (Matrix, RowReducer, Subspace, Vec, _eliminate, as_vec, is_zero_vec,
-                           solution_space, solve_affine_rows, unit_vec)
+from carnot.linalg import (Matrix, RowReducer, Subspace, Vec, _eliminate, as_vec, solution_space,
+                           solve_affine_rows, unit_vec)
 from carnot.tanaka import AdaptedFrame, HomElement, _block_shapes, prolong
 
 
@@ -28,6 +28,15 @@ from carnot.tanaka import AdaptedFrame, HomElement, _block_shapes, prolong
 
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
+
+
+def is_zero_vec(v: Vec) -> bool:
+    return all(a == 0 for a in v)
+
+
+def dense_table(L: LieAlgebra) -> dict[tuple[int, int], Vec]:
+    """The bracket table of ``L`` with each sparse row as its dense vector."""
+    return {ij: tuple(dict(row).get(k, Fraction(0)) for k in range(L.dim)) for ij, row in L.table}
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -254,7 +263,7 @@ def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:
     if not is_derivation(L, d):
         raise NotDerivationError("the supplied endomorphism is not a derivation")
     n = L.dim
-    brackets = {(i, j): vec + (Fraction(0),) for (i, j), vec in L.table}
+    brackets = {(i, j): dict(row) for (i, j), row in L.table}
     for i in range(n):
         image = col(d, i)
         if not is_zero_vec(image):
@@ -321,7 +330,7 @@ def two_step_type(L: LieAlgebra) -> tuple[int, int]:
     vectors span the last k (abelian algebras give k = 0)."""
     k = L.lower_central_series().dims[1] if L.dim else 0
     m = L.dim - k
-    for (a, b), vec in L.table:
+    for (a, b), vec in dense_table(L).items():
         assert b < m and all(not x for x in vec[:m]), "not in 2-step normal form"
     return m, k
 
@@ -330,7 +339,7 @@ def pair_rows(L: LieAlgebra) -> list[list[Fraction]]:
     """The structure-constant rows of a 2-step algebra of type (m, k), one
     per top coordinate, over the C(m,2) pair columns (a, b), a < b."""
     m, k = two_step_type(L)
-    table = dict(L.table)
+    table = dense_table(L)
     pairs = list(combinations(range(m), 2))
     return [[table.get(ab, zero_vec(L.dim))[m + l] for ab in pairs] for l in range(k)]
 

@@ -19,7 +19,7 @@ from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, invert
 from carnot.tanaka import degree_zero_derivations
 
-from helpers import apply, col, intersect, matmul
+from helpers import apply, col, dense_table, intersect, matmul
 
 F = Fraction
 
@@ -72,7 +72,7 @@ def dilation_automorphism_identity(cases: int, seed: int = 102) -> int:
     for c in range(cases):
         L, s = pairs[c % len(pairs)]
         d = dilation(s, random_nonzero_rational(rng))
-        for (i, j), vec in L.table:
+        for (i, j), vec in dense_table(L).items():
             assert apply(d, vec) == L.bracket(col(d, i), col(d, j))
     return cases
 

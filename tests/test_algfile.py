@@ -39,6 +39,16 @@ def test_parse_negative_and_fraction_coefficients():
 def test_parse_repeated_target_accumulates():
     parsed = parse("dim 3\nbracket 1 2 = 3 + 2*3\n")
     assert parsed.algebra.bracket_basis(0, 1) == (0, 0, 3)
+    assert parsed.algebra.table == (((0, 1), ((2, F(3)),)),)
+
+
+def test_parse_cancelling_terms_store_no_bracket():
+    L = parse("dim 3\nbracket 1 2 = 3 + -1*3\n").algebra
+    assert L.bracket_count() == 0
+    assert L.bracket_basis(0, 1) == (0, 0, 0)
+    text = emit(L)
+    assert text == "dim 3\n"
+    assert parse(text).algebra == L
 
 
 @pytest.mark.parametrize("text,line,fragment", [

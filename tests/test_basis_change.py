@@ -24,10 +24,10 @@ from carnot.grading import (
     verify_stratification,
 )
 from carnot.liealg import LieAlgebra, SingularMatrixError
-from carnot.linalg import Matrix, Subspace, invert, is_zero_vec
+from carnot.linalg import Matrix, Subspace, invert
 from carnot.tanaka import AdaptedFrame, hom0_to_endo, prolong
 
-from helpers import apply, col, hom_blocks, hom_from_blocks, matmul, scaled, zeros
+from helpers import apply, col, hom_blocks, hom_from_blocks, is_zero_vec, matmul, scaled, zeros
 from propsuites import random_unimodular
 
 F = Fraction

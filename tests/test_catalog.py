@@ -52,11 +52,11 @@ def test_example2_is_example1_plus_top_bracket():
     e1 = catalog.get("example1_16").algebra
     e2 = catalog.get("example2_17").algebra
     assert e2.dim == 17
-    extended = {(i, j): vec for (i, j), vec in e2.table}
+    extended = helpers.dense_table(e2)
     extra = extended.pop((0, 10))
     assert extra == tuple(F(1) if k == 16 else F(0) for k in range(17))
     assert sorted(extended) == sorted(dict(e1.table))
-    for key, vec in e1.table:
+    for key, vec in helpers.dense_table(e1).items():
         assert extended[key] == vec + (F(0),)
     assert catalog.get("example2_17").expected.step == 3
 
@@ -64,10 +64,10 @@ def test_example2_is_example1_plus_top_bracket():
 def test_deformed_is_example1_plus_lowering_bracket():
     e1 = catalog.get("example1_16").algebra
     h = catalog.get("deformed_h_16").algebra
-    table = dict(h.table)
+    table = helpers.dense_table(h)
     extra = table.pop((0, 10))
     assert extra == tuple(F(1) if k == 13 else F(0) for k in range(16))
-    assert table == dict(e1.table)
+    assert table == helpers.dense_table(e1)
     assert catalog.get("deformed_h_16").declared_layers is None
     assert catalog.get("deformed_h_16").expected.stratifiable is False
 

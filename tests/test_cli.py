@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,20 @@ def test_check_bracket_free_dim_2000_subprocess(tmp_path):
         capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0
     assert "jacobi: ok" in proc.stdout
+
+
+def test_check_heisenberg_near_the_ceiling_subprocess():
+    # dim 9999: the table stores one sparse row per bracket, so building
+    # and checking it costs O(brackets), not O(brackets x dim)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "carnot.cli", "check", "heisenberg_2n1(4999)"],
+        capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert "dim: 9999" in proc.stdout and "brackets: 4999" in proc.stdout
+    assert "jacobi: ok" in proc.stdout
+    assert elapsed < 5.0, f"took {elapsed:.2f} s"
 
 
 _LONG = "1" * 5000  # past the interpreter's integer-string limit of 4300 digits

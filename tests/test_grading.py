@@ -23,7 +23,7 @@ from carnot.grading import (
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, unit_vec
 
-from helpers import (apply, col, from_flat, is_derivation, matmul, matsub, nullspace,
+from helpers import (apply, col, dense_table, from_flat, is_derivation, matmul, matsub, nullspace,
                      reference_feasible_set, reference_is_stratifiable, scaled,
                      semidirect_with_derivation)
 from propsuites import random_unimodular
@@ -125,7 +125,7 @@ def test_dilation_block_scalars(strat1):
 def test_dilation_is_automorphism(example1, strat1):
     lam = F(3, 2)
     d = dilation(strat1, lam)
-    for (i, j), vec in example1.table:
+    for (i, j), vec in dense_table(example1).items():
         lhs = apply(d, vec)
         rhs = example1.bracket(col(d, i), col(d, j))
         assert lhs == rhs

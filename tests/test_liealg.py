@@ -9,11 +9,11 @@ from carnot.liealg import (
     NotLieAlgebraError,
     SingularMatrixError,
 )
-from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, unit_vec
+from carnot.linalg import Matrix, Subspace, solution_space, unit_vec
 
-from helpers import (NotDerivationError, ad_matrix, apply, center, col, from_flat, is_derivation,
-                     reference_is_derivation, semidirect_with_derivation, vec_add, zero_vec,
-                     zeros)
+from helpers import (NotDerivationError, ad_matrix, apply, center, col, dense_table, from_flat,
+                     is_derivation, is_zero_vec, reference_is_derivation,
+                     semidirect_with_derivation, vec_add, zero_vec, zeros)
 
 F = Fraction
 
@@ -33,7 +33,7 @@ def _ref_bracket_basis(table, n, i, j):
 
 def _ref_bracket(L, x, y):
     acc = [F(0)] * L.dim
-    for (i, j), vec in L.table:
+    for (i, j), vec in dense_table(L).items():
         c = x[i] * y[j] - x[j] * y[i]
         if c:
             for k, v in enumerate(vec):
@@ -44,7 +44,7 @@ def _ref_bracket(L, x, y):
 
 def ref_jacobi_defect(L):
     """O(n^3) over all triples i < j < k."""
-    table = dict(L.table)
+    table = dense_table(L)
     out = []
     n = L.dim
     basis = [unit_vec(n, i) for i in range(n)]
@@ -70,7 +70,7 @@ def ref_jacobi_defect(L):
 
 def ref_leibniz_rows(L):
     """One row per (pair, coordinate), every coefficient looked up densely."""
-    table = dict(L.table)
+    table = dense_table(L)
     n = L.dim
     for i in range(n):
         for j in range(i + 1, n):
@@ -129,7 +129,7 @@ def _random_table(rng):
     L = L.change_of_basis(Matrix.from_rows(p, n))
     if kind == 2 or not L.table:
         return L
-    shifted = dict(L.table)
+    shifted = dense_table(L)
     pair = rng.choice(sorted(shifted))
     k = rng.randrange(n)
     shifted[pair] = tuple(v + (1 if c == k else 0) for c, v in enumerate(shifted[pair]))
@@ -194,6 +194,28 @@ def test_from_brackets_validation():
     # zero values are dropped from the stored table
     L = LieAlgebra.from_brackets(3, {(0, 1): (0, 0, 0)})
     assert L.bracket_count() == 0
+    assert LieAlgebra.from_brackets(3, {(0, 1): {2: 0, 0: "0"}}).bracket_count() == 0
+
+
+@pytest.mark.parametrize("index", [3, -1, 10])
+def test_from_brackets_rejects_mapping_index_out_of_range(index):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        LieAlgebra.from_brackets(3, {(0, 1): {2: 1, index: 1}})
+
+
+@pytest.mark.parametrize("name", [n for n, _ in catalog.list_entries()])
+def test_from_brackets_dense_and_mapping_give_the_same_sparse_table(name):
+    L = catalog.get(name).algebra
+    dense = LieAlgebra.from_brackets(L.dim, dense_table(L))
+    # mapping values as int, Fraction and str, keys out of order
+    mapping = LieAlgebra.from_brackets(L.dim, {ij: {k: (str(c) if k % 2 else c)
+                                                    for k, c in reversed(row)}
+                                               for ij, row in L.table})
+    assert dense.table == mapping.table == L.table
+    for (i, j), row in L.table:
+        assert i < j and row
+        assert [k for k, _ in row] == sorted(k for k, _ in row)
+        assert all(type(c) is Fraction and c for _, c in row)
 
 
 def test_bracket_antisymmetry_on_vectors(example1):
@@ -254,7 +276,7 @@ def test_jacobi_defect_returns_a_fresh_list():
 def test_two_step_tables_satisfy_jacobi_for_any_signs(example1):
     # in a 2-step table the second layer is central, so every triple sum
     # vanishes identically; flipping the sign of [e9,e10] cannot break it
-    flipped = dict(example1.table)
+    flipped = dense_table(example1)
     flipped[(8, 9)] = tuple(F(1) if k == 11 else F(0) for k in range(16))
     L = LieAlgebra.from_brackets(16, flipped)
     assert L.jacobi_defect() == []

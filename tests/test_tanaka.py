@@ -9,7 +9,7 @@ from carnot.algfile import parse
 from carnot.grading import (coordinate_layers, grading_derivation, is_stratifiable,
                             verify_stratification)
 from carnot.liealg import LieAlgebra
-from carnot.linalg import Matrix, Subspace, is_zero_vec, solution_space, solve_affine, unit_vec
+from carnot.linalg import Matrix, Subspace, solution_space, solve_affine, unit_vec
 from carnot.tanaka import (
     AdaptedFrame,
     ComponentNotComputedError,
@@ -24,8 +24,9 @@ from carnot.tanaka import (
 )
 
 from helpers import (apply, from_flat, grading_element, hom_blocks, hom_from_blocks, intersect,
-                     is_derivation, nullspace, pair_rows, random_two_step, reference_tower_rows,
-                     rref, two_step_dual, two_step_g0_dim, two_step_type, zero_vec, zeros)
+                     is_derivation, is_zero_vec, nullspace, pair_rows, random_two_step,
+                     reference_tower_rows, rref, two_step_dual, two_step_g0_dim, two_step_type,
+                     zero_vec, zeros)
 
 F = Fraction
 
@@ -756,7 +757,7 @@ def rational_heisenberg3():
 def test_bracket_matches_reference_on_a_non_integral_table():
     base = catalog.get("heisenberg_3").algebra
     L = rational_heisenberg3()
-    assert any(x.denominator != 1 for _, vec in L.table for x in vec)
+    assert any(x.denominator != 1 for _, row in L.table for _, x in row)
     verdict = is_stratifiable(L)
     assert L.derivation_algebra().dim == base.derivation_algebra().dim == 6
     assert (verdict.derived_stratification.layer_dims
@@ -820,7 +821,8 @@ def _public_scalars(L):
     out += [("Der", x) for row in L.derivation_algebra().rows for _, x in row]
     shear = Matrix.from_rows([[1 if i == j else (2 if j == i + 1 else 0) for j in range(n)]
                               for i in range(n)])
-    out += [("change_of_basis", x) for _, vec in L.change_of_basis(shear).table for x in vec]
+    out += [("table", x) for _, row in L.table for _, x in row]
+    out += [("change_of_basis", x) for _, row in L.change_of_basis(shear).table for _, x in row]
     verdict = is_stratifiable(L)
     out += [("witness", x) for row in verdict.witness.entries for x in row]
     strat = verdict.derived_stratification
