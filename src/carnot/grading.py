@@ -37,6 +37,7 @@ from .linalg import (
     Scalar,
     Subspace,
     _dense_vec,
+    conjugate,
     invert,
     quotient_basis,
     rat,
@@ -152,24 +153,11 @@ def coordinate_layers(n: int, ranges: Sequence[tuple[int, int]]) -> list[Subspac
 
 
 def _block_scalar_map(s: Stratification, factors: Sequence[Fraction]) -> Matrix:
-    """The map M acting as factors[j] on layer j, in ambient coordinates.
-
-    With the adapted vectors p_a as the columns of P and f_a the factor of
-    p_a's layer, M = P F P^-1 solves P^T M^T = F P^T.  The layers form a
-    direct sum, so P is invertible and row reducing the rows
-    [p_a | f_a p_a] leaves the canonical rows [I | M^T]: one elimination,
-    with no inverse and no matrix product."""
-    n = s.ambient_dim
-    red = RowReducer(2 * n)
-    for f, v in zip(factors, s.layers):
-        for p in v.rows:
-            red.add({**dict(p), **{n + c: f * x for c, x in p}})
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in red.echelon().items():
-        for c, x in row:
-            if c >= n:
-                m[c - n][i] = x
-    return Matrix(n, n, tuple(map(tuple, m)))
+    """The map acting as factors[j] on layer j, in ambient coordinates:
+    the :func:`conjugate` of the adapted vectors, each to its multiple."""
+    basis = [p for v in s.layers for p in v.rows]
+    scale = [f for f, v in zip(factors, s.layers) for _ in v.rows]
+    return conjugate(basis, [{a: f} for a, f in enumerate(scale)])
 
 
 def grading_derivation(s: Stratification) -> Matrix:

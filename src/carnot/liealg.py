@@ -11,6 +11,9 @@ per object, so work scales with the nonzero brackets rather than with
 index holds integral values as ``int`` (``linalg._lean``).  Basis
 indices are 0-based internally; the default labels are ``e1..en``.
 
+One walk, :meth:`LieAlgebra._brackets`, brackets sparse vectors for
+``bracket``, ``bracket_span`` and basis changes (``_transported``).
+
 The Leibniz identity is assembled once, in :func:`_leibniz_system`, for
 the n^2 entries of an endomorphism (:meth:`LieAlgebra.leibniz_rows`) or
 the blocks of one degree of the tower (``tanaka._solve_component``).
@@ -161,16 +164,43 @@ class LieAlgebra(Record):
         xx, yy = as_vec(x), as_vec(y)
         if len(xx) != self.dim or len(yy) != self.dim:
             raise ValueError(f"vectors must have length {self.dim}")
-        acc: dict[int, Fraction] = {}
-        for i, a in enumerate(xx):
-            if a:
-                for j, coords in self._ad[i].items():
-                    b = yy[j]
-                    if b:
-                        c = a * b
-                        for k, v in coords.items():
-                            acc[k] = acc.get(k, 0) + c * v
-        return _dense_vec(acc.items(), self.dim)
+        x_pairs = [(i, a) for i, a in enumerate(xx) if a]
+        y_pairs = [(j, b) for j, b in enumerate(yy) if b]
+        w = next((w for _, _, w in self._brackets([x_pairs], [y_pairs])), {})
+        return _dense_vec(w.items(), self.dim)
+
+    def _brackets(self, xs: Sequence[Iterable[tuple[int, Fraction]]],
+                  ys: Sequence[Iterable[tuple[int, Fraction]]], upper: bool = False):
+        """Yield ``(i, j, {k: c})`` for each nonzero [x_i, y_j] of sparse
+        vectors given as ``(index, value)`` pairs, in ascending (i, j),
+        only j > i with ``upper``.  [x_i, e_b] is summed once per x_i; the
+        y_j are indexed by their nonzero coordinates b, so only pairs that
+        meet a nonzero bracket are visited.  Integral values are ``int``."""
+        ad = self._ad
+        by_coord: dict[int, list[tuple[int, Fraction]]] = {}  # b -> (j, y_j[b])
+        for j, y in enumerate(ys):
+            for b, yb in y:
+                by_coord.setdefault(b, []).append((j, _lean(yb)))
+        for i, x in enumerate(xs):
+            ad_x: dict[int, dict[int, Fraction]] = {}  # [x_i, e_b] per b
+            for a, xa in x:
+                xa = _lean(xa)
+                for b, coords in ad[a].items():
+                    if b in by_coord:
+                        acc = ad_x.setdefault(b, {})
+                        for k, c in coords.items():
+                            acc[k] = acc.get(k, 0) + xa * c
+            out: dict[int, dict[int, Fraction]] = {}
+            for b, col in ad_x.items():
+                for j, yb in by_coord[b]:
+                    if j > i or not upper:
+                        w = out.setdefault(j, {})
+                        for k, c in col.items():
+                            w[k] = w.get(k, 0) + yb * c
+            for j in sorted(out):
+                w = {k: c for k, c in out[j].items() if c}
+                if w:
+                    yield i, j, w
 
     def _triple_term(self, x: int, y: int, z: int, acc: dict[int, Fraction]) -> None:
         """acc += [[e_x, e_y], e_z]."""
@@ -233,28 +263,9 @@ class LieAlgebra(Record):
             terms.append(nxt)
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        """span [a, b]: every bracket of a basis row of ``a`` with one of
-        ``b``, through the sparse rows and the sparse table."""
-        ad = self._ad
-        b_rows = [[(j, _lean(yj)) for j, yj in y] for y in b.rows]
-        rows = []
-        for x in a.rows:
-            ad_x: dict[int, dict[int, Fraction]] = {}  # [x, e_j] per j
-            for i, xi in x:
-                xi = _lean(xi)
-                for j, coords in ad[i].items():
-                    acc = ad_x.setdefault(j, {})
-                    for k, c in coords.items():
-                        acc[k] = acc.get(k, 0) + xi * c
-            for y in b_rows:
-                w: dict[int, Fraction] = {}
-                for j, yj in y:
-                    for k, c in ad_x.get(j, {}).items():
-                        w[k] = w.get(k, 0) + yj * c
-                w = {k: c for k, c in w.items() if c}
-                if w:
-                    rows.append(w)
-        return Subspace.from_rows(rows, self.dim)
+        """span [a, b]: every nonzero bracket of a basis row of ``a`` with
+        one of ``b``, from :meth:`_brackets`."""
+        return Subspace.from_rows((w for _, _, w in self._brackets(a.rows, b.rows)), self.dim)
 
     def leibniz_rows(self):
         """Sparse rows of the Leibniz system in the n^2 unknowns u[k][l]
@@ -304,32 +315,19 @@ class LieAlgebra(Record):
         """Yield ``((i, j), {k: c})`` for each nonzero [P e_i, P e_j],
         i < j, written in the basis of the columns of ``p``.
 
-        Each column of ``p`` is bracketed sparsely through the table, and
+        The sparse columns of ``p`` are bracketed by :meth:`_brackets`, and
         only the nonzero coordinates of a bracket are mapped through the
         sparse columns of ``p_inv``.  Integral coefficients are ``int``."""
-        ad = self._ad
-        cols = _sparse_cols(p)
+        cols = [col.items() for col in _sparse_cols(p)]
         inv_cols = _sparse_cols(p_inv)
-        for i, col_i in enumerate(cols):
-            ad_i: dict[int, dict[int, Fraction]] = {}  # [P e_i, e_b] per b
-            for a, x in col_i.items():
-                for b, coords in ad[a].items():
-                    acc = ad_i.setdefault(b, {})
-                    for k, c in coords.items():
-                        acc[k] = acc.get(k, 0) + x * c
-            for j in range(i + 1, len(cols)):
-                w: dict[int, Fraction] = {}
-                for b, y in cols[j].items():
-                    for k, c in ad_i.get(b, {}).items():
-                        w[k] = w.get(k, 0) + y * c
-                out: dict[int, Fraction] = {}
-                for k, z in w.items():
-                    if z:
-                        for q, c in inv_cols[k].items():
-                            out[q] = out.get(q, 0) + z * c
-                out = {q: c for q, c in out.items() if c}
-                if out:
-                    yield (i, j), out
+        for i, j, w in self._brackets(cols, cols, upper=True):
+            out: dict[int, Fraction] = {}
+            for k, z in w.items():
+                for q, c in inv_cols[k].items():
+                    out[q] = out.get(q, 0) + z * c
+            out = {q: c for q, c in out.items() if c}
+            if out:
+                yield (i, j), out
 
     def bracket_count(self) -> int:
         """Number of stored (nonzero) bracket pairs."""

@@ -18,7 +18,8 @@ canonical reduced row echelon basis as sparse rows, so equality of
 subspaces is equality of those tuples; ``basis_rows()`` is the dense
 view for rendering.  ``Matrix`` is the dense exchange format of basis
 changes and witnesses; hot paths read its nonzero entries
-(``_sparse_cols``).
+(``_sparse_cols``).  A map given on a basis is written in the original
+coordinates by one route, :func:`conjugate`.
 
 One coefficient rule: private sparse indexes (``LieAlgebra._ad``, basis
 change columns, the tower's rows and bracket table) hold integral values
@@ -371,11 +372,12 @@ def residual(v: Mapping[int, Fraction], echelon: Mapping[int, SparseRow]) -> dic
     the span of ``echelon`` (reduced rows by pivot, as from
     :meth:`RowReducer.echelon`): v - sum_p v[p] row_p, which is zero at
     every pivot, and empty iff ``v`` lies in the span.  The rows are zero
-    at each other's pivots, so their order does not matter."""
+    at each other's pivots, so only the rows at ``v``'s nonzero
+    coordinates are read, in any order."""
     out = dict(v)
-    for p, row in echelon.items():
-        c = v.get(p)
-        if c:
+    for p, c in v.items():
+        row = echelon.get(p)
+        if row and c:
             for col, x in row:
                 out[col] = out.get(col, _ZERO) - c * x
     return {col: x for col, x in out.items() if x}
@@ -526,16 +528,13 @@ def solve_affine_rows(rows: Iterable, width: int) -> Optional[AffineSolution]:
     red = RowReducer(width + 1)
     for row in rows:
         red.add(row)
-    if width in red._pivots:
-        return None  # a pivot in the RHS column: inconsistent
-    reduced = red._reduced_rows()
-    particular = [_ZERO] * width
-    homo = RowReducer(width)
-    for p, r in reduced.items():
-        particular[p] = Fraction(r.get(width, 0), r[p])
-        homo._pivots[p] = {col: v for col, v in r.items() if col < width}
-    homogeneous = Subspace.from_rows(homo.sparse_nullspace(), width)
-    return AffineSolution(tuple(particular), homogeneous)
+    # the solutions x of [a | b]·x = 0; the last free column is ``width``
+    # unless a pivot lies there, which makes the system inconsistent
+    solutions = red.sparse_nullspace()
+    if not solutions or width not in solutions[-1]:
+        return None
+    particular = _dense_vec(((c, -x) for c, x in solutions[-1].items() if c < width), width)
+    return AffineSolution(particular, Subspace.from_rows(solutions[:-1], width))
 
 
 def quotient_basis(sub: Subspace, whole: Subspace) -> list[SparseRow]:
@@ -551,6 +550,28 @@ def quotient_basis(sub: Subspace, whole: Subspace) -> list[SparseRow]:
     for row in sub.rows:
         red.add(dict(row))
     return [row for row in whole.rows if red.add(dict(row))]
+
+
+def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction]]) -> Matrix:
+    """The map M with M p_a = sum_r images[a][r] p_r for the basis vectors
+    p_a given as sparse rows, in the coordinates the p_a are written in.
+
+    With the p_a as the columns of P and A[r][a] = images[a][r], M = P A
+    P^-1 solves P^T M^T = A^T P^T: row reducing the rows [p_a | M p_a]
+    leaves [I | M^T], with no inverse and no matrix product."""
+    n = len(basis)
+    red = RowReducer(2 * n)
+    for p, image in zip(basis, images):
+        row = dict(p)
+        for r, c in image.items():
+            for col, x in basis[r]:
+                row[n + col] = row.get(n + col, 0) + c * x
+        red.add(row)
+    echelon = red.echelon()
+    if list(echelon) != list(range(n)):
+        raise ValueError("the basis vectors are not a basis")
+    m_t = [_dense_vec(((c - n, x) for c, x in row if c >= n), n) for row in echelon.values()]
+    return Matrix(n, n, tuple(zip(*m_t)))
 
 
 def invert(m: Matrix) -> Optional[Matrix]:

@@ -37,7 +37,7 @@ integral values as ``int`` (``linalg._lean``); every public value
 
 Everything is computed in an adapted basis in which each layer is a
 coordinate block; results living in the original endomorphism space are
-conjugated back at the boundary.
+conjugated back at the boundary (``linalg.conjugate``).
 """
 
 from __future__ import annotations
@@ -51,14 +51,13 @@ from typing import Callable, Mapping, Optional, Sequence
 from .grading import Stratification
 from .liealg import LieAlgebra, _leibniz_system
 from .linalg import (
-    _ZERO,
     Matrix,
     Record,
     Subspace,
     Vec,
     _dense_vec,
     _lean,
-    _sparse_cols,
+    conjugate,
     invert,
     rat,
     solution_space,
@@ -278,23 +277,14 @@ def _solve_component(frame: AdaptedFrame, k: int,
 
 def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
     """A degree-0 element as an endomorphism P A P^-1 in the original
-    basis, where A is block diagonal in adapted coordinates.  Column j is
-    P A (P^-1 e_j), built from the sparse columns of P^-1, of A and of P."""
+    basis, where A is block diagonal in adapted coordinates: the
+    :func:`conjugate` of the adapted vectors to their images under A."""
     if el.degree != 0:
         raise ValueError("only degree-0 elements are endomorphisms")
-    n = frame.dim
-    p_cols = _sparse_cols(frame.cols)
-    out = []
-    for v in _sparse_cols(frame.cols_inv):
-        col = [_ZERO] * n
-        for b, x in v.items():
-            off = frame.offsets[frame.weights[b] - 1]
-            for r, w in el._image(b).items():
-                y = w * x  # a term of (A v)[off + r]
-                for i, z in p_cols[off + r].items():
-                    col[i] += y * z
-        out.append(col)
-    return Matrix(n, n, tuple(zip(*out)))
+    basis = [p for v in frame.stratification.layers for p in v.rows]
+    offsets, weights = frame.offsets, frame.weights
+    return conjugate(basis, [{offsets[weights[a] - 1] + r: x for r, x in el._image(a).items()}
+                             for a in range(frame.dim)])
 
 
 def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Subspace:

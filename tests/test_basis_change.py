@@ -1,9 +1,10 @@
 """The sparse basis changes against the dense formulas they replaced.
 
-``change_of_basis``, ``grading_derivation``/``dilation`` (through
-``_block_scalar_map``), ``hom0_to_endo`` and ``nilpotentisation`` read
-``P`` and ``P^-1`` through their nonzero entries.  The references below
-are the dense formulas of ``helpers``: ``invert`` plus ``apply`` and ``P F P^-1``.
+``change_of_basis`` and ``nilpotentisation`` read ``P`` and ``P^-1``
+through their nonzero entries; ``grading_derivation``, ``dilation`` and
+``hom0_to_endo`` go through ``linalg.conjugate``, one elimination with
+no inverse.  The references below are the dense formulas of
+``helpers``: ``invert`` plus ``apply`` and ``P F P^-1``.
 Arithmetic is exact and canonical forms are unique, so the two routes
 must agree entry for entry, in each catalog basis and in seeded
 unimodular conjugates.

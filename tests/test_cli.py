@@ -73,7 +73,25 @@ def test_check_heisenberg_near_the_ceiling_subprocess():
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
 
 
-_LONG = "1" * 5000  # past the interpreter's integer-string limit of 4300 digits
+def test_gr_of_a_large_heisenberg_is_itself_subprocess():
+    # dim 2001: the bracket walk visits only pairs that meet one of the
+    # 1000 brackets, not all 2001^2 pairs of filtration rows
+    entry = "heisenberg_2n1(1000)"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "carnot.cli", "gr", entry, "--horizontal", "1..2000"],
+        capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    emitted = subprocess.run(
+        [sys.executable, "-m", "carnot.cli", "catalog", entry, "--emit"],
+        capture_output=True, text=True, timeout=60)
+    assert emitted.returncode == 0, emitted.stderr
+    assert proc.stdout == emitted.stdout
+    assert elapsed < 5.0, f"took {elapsed:.2f} s"
+
+
+_LONG ="1" * 5000  # past the interpreter's integer-string limit of 4300 digits
 _NO_DIGIT_LIMIT = not getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

@@ -9,6 +9,7 @@ from carnot.linalg import (
     Matrix,
     RowReducer,
     Subspace,
+    conjugate,
     invert,
     quotient_basis,
     rat,
@@ -18,8 +19,8 @@ from carnot.linalg import (
     unit_vec,
 )
 
-from helpers import (apply, center, intersect, matmul, nullspace, reference_add, rref, zero_vec,
-                     zeros)
+from helpers import (apply, center, col, intersect, matmul, nullspace, reference_add, rref,
+                     zero_vec, zeros)
 from propsuites import random_unimodular
 
 F = Fraction
@@ -271,6 +272,23 @@ def test_invert():
     assert mi is not None
     assert matmul(m, mi) == Matrix.identity(2)
     assert invert(M([[1, 2], [2, 4]])) is None
+
+
+def test_conjugate_matches_dense_product():
+    # M p_a = sum_r A[r][a] p_r, so M = P A P^-1, for a full A: every
+    # entry nonzero, so no block structure lines up with the basis
+    rng = random.Random(83)
+    for n in range(2, 8):
+        for _ in range(5):
+            p = random_unimodular(n, rng, shears=2 * n)
+            a = M([[F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
+                   for _ in range(n)], n)
+            basis = [tuple((i, x) for i, x in enumerate(col(p, j)) if x) for j in range(n)]
+            images = [{r: a.entries[r][j] for r in range(n)} for j in range(n)]
+            assert conjugate(basis, images) == matmul(p, a, invert(p))
+    assert conjugate([], []) == Matrix(0, 0, ())
+    with pytest.raises(ValueError, match="not a basis"):
+        conjugate([((0, F(1)),), ((0, F(2)),)], [{}, {}])
 
 
 # Reference route: the dense nullspace extraction the reducer used before
