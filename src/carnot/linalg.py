@@ -555,23 +555,27 @@ def quotient_basis(sub: Subspace, whole: Subspace) -> list[SparseRow]:
 def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction]]) -> Matrix:
     """The map M with M p_a = sum_r images[a][r] p_r for the basis vectors
     p_a given as sparse rows, in the coordinates the p_a are written in.
+    A key r = s n + r' (r' < n) stands for p_r' in the s-th copy of the
+    space, so several maps M_s, stacked as the rows of M, share one elimination.
 
     With the p_a as the columns of P and A[r][a] = images[a][r], M = P A
     P^-1 solves P^T M^T = A^T P^T: row reducing the rows [p_a | M p_a]
     leaves [I | M^T], with no inverse and no matrix product."""
     n = len(basis)
-    red = RowReducer(2 * n)
+    e = max((r // n + 1 for image in images for r in image), default=1)
+    red = RowReducer((e + 1) * n)
     for p, image in zip(basis, images):
         row = dict(p)
         for r, c in image.items():
-            for col, x in basis[r]:
-                row[n + col] = row.get(n + col, 0) + c * x
+            off = n + r - r % n
+            for col, x in basis[r % n]:
+                row[off + col] = row.get(off + col, 0) + c * x
         red.add(row)
     echelon = red.echelon()
     if list(echelon) != list(range(n)):
         raise ValueError("the basis vectors are not a basis")
-    m_t = [_dense_vec(((c - n, x) for c, x in row if c >= n), n) for row in echelon.values()]
-    return Matrix(n, n, tuple(zip(*m_t)))
+    m_t = [_dense_vec(((c - n, x) for c, x in row if c >= n), e * n) for row in echelon.values()]
+    return Matrix(e * n, n, tuple(zip(*m_t)))
 
 
 def invert(m: Matrix) -> Optional[Matrix]:

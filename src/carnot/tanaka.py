@@ -23,13 +23,15 @@ Storage is sparse from the kernel on: each g_k basis vector is a
 block shapes: a row of the canonical reduced row echelon basis that
 ``linalg.solution_space`` returns, taken as it is.  No dense block is
 built.  So membership is a pivot read-off plus an exact residual check,
-and the bracket is a table of structure constants, the coordinates of
-[b^k_i, b^m_j] in the stored basis of g_{k+m}, filled on first use from
-[u, v](X) = [u, [v, X]] - [v, [u, X]] with inner brackets of nonnegative
-degree read from entries of lower total degree, each checked to lie in
-the computed component.  The bracket is antisymmetric, so each unordered
-pair of basis vectors is computed once and its mirror stored as the exact
-negation.
+which a result skips only for its own stored basis vectors, indexed by
+``id()`` and matched by ``is``: they are unit vectors in g_k by
+construction.  The bracket is a table of structure constants, the
+coordinates of [b^k_i, b^m_j] in the stored basis of g_{k+m}, filled on
+first use from [u, v](X) = [u, [v, X]] - [v, [u, X]] with inner brackets
+of nonnegative degree read from entries of lower total degree, each
+checked to lie in the computed component.  The bracket is antisymmetric,
+so each unordered pair of basis vectors is computed once and its mirror
+stored as the exact negation.
 
 The private indexes (element images, basis rows, the bracket table) hold
 integral values as ``int`` (``linalg._lean``); every public value
@@ -148,8 +150,8 @@ class HomElement(Record):
     def from_nonzeros(degree: int, shapes: Sequence[tuple[int, int]],
                       values: Mapping[int, Fraction]) -> "HomElement":
         """The element with ``values`` at its flat columns (zeros dropped), in ``Fraction``."""
-        return HomElement(degree, tuple(shapes),
-                          tuple(sorted((c, Fraction(x)) for c, x in values.items() if x)))
+        return HomElement(degree, tuple(shapes), tuple(sorted(
+            (c, x if type(x) is Fraction else Fraction(x)) for c, x in values.items() if x)))
 
     def flatten(self) -> Vec:
         return _dense_vec(self.entries, sum(r * c for r, c in self.shapes))
@@ -275,23 +277,31 @@ def _solve_component(frame: AdaptedFrame, k: int,
             solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total).rows]
 
 
+def _stacked_endo(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Matrix:
+    """Degree-0 elements as endomorphisms P A_s P^-1 in the original basis,
+    stacked as in :func:`conjugate`, where A_s is block diagonal in adapted
+    coordinates: one conjugate of the adapted vectors to their images."""
+    if any(el.degree != 0 for el in elements):
+        raise ValueError("only degree-0 elements are endomorphisms")
+    n, offsets, weights = frame.dim, frame.offsets, frame.weights
+    basis = [p for v in frame.stratification.layers for p in v.rows]
+    return conjugate(basis, [{s * n + offsets[weights[a] - 1] + r: x
+                              for s, el in enumerate(elements) for r, x in el._image(a).items()}
+                             for a in range(n)])
+
+
 def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
     """A degree-0 element as an endomorphism P A P^-1 in the original
-    basis, where A is block diagonal in adapted coordinates: the
-    :func:`conjugate` of the adapted vectors to their images under A."""
-    if el.degree != 0:
-        raise ValueError("only degree-0 elements are endomorphisms")
-    basis = [p for v in frame.stratification.layers for p in v.rows]
-    offsets, weights = frame.offsets, frame.weights
-    return conjugate(basis, [{offsets[weights[a] - 1] + r: x for r, x in el._image(a).items()}
-                             for a in range(frame.dim)])
+    basis, where A is block diagonal in adapted coordinates."""
+    return _stacked_endo(frame, [el])
 
 
 def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Subspace:
     """The span of degree-0 elements (such as a stored basis of g_0) as
-    endomorphisms in the original basis, in canonical form."""
-    rows = [hom0_to_endo(frame, el).flatten() for el in elements]
-    return Subspace.from_rows(rows, frame.dim ** 2)
+    endomorphisms in the original basis, in canonical form, read off one
+    stacked conjugate (which leaves out trailing zero maps: they span 0)."""
+    flat, n2 = _stacked_endo(frame, elements).flatten(), frame.dim ** 2
+    return Subspace.from_rows([flat[i:i + n2] for i in range(0, len(flat), n2)], n2)
 
 
 class ProlongationResult(Record):
@@ -304,9 +314,12 @@ class ProlongationResult(Record):
     ``bracket`` reads a table of basis structure constants, each unordered
     pair computed once and the other order stored as its exact negation, and
     ``coordinates_of`` reads, per degree, the block shapes, the pivot
-    columns and the basis rows with integral values as ``int``.  Both are
-    filled lazily and kept in the instance ``__dict__``, outside the
-    record's fields, so equality and hashing see only the tower itself.
+    columns, the basis rows with integral values as ``int`` and the index
+    of each stored basis vector by ``id()``.  Both take this result's own
+    basis vectors, matched by ``is``, as unit coordinates with no read-off;
+    any other input, an equal copy too, is read off and not cached.  The
+    caches are filled lazily and kept in the instance ``__dict__``, outside
+    the record's fields, so equality and hashing see only the tower itself.
     """
 
     dims: tuple[int, ...]
@@ -339,8 +352,9 @@ class ProlongationResult(Record):
         return {}
 
     def _degree(self, t: int) -> tuple:
-        """The block shapes of g_t, the pivot columns of its stored basis and
-        each basis vector as ``{column: _lean(value)}``, cached per degree.
+        """The block shapes of g_t, the pivot columns of its stored basis,
+        each basis vector as ``{column: _lean(value)}`` and the index i of
+        each stored vector keyed by its ``id()``, cached per degree.
         ``prolong`` stores each basis in canonical RREF, so vector i is 1 at
         its pivot column (its first nonzero) and every other basis vector is
         0 there; that is checked once per degree."""
@@ -355,7 +369,7 @@ class ProlongationResult(Record):
                 raise ValueError(f"stored basis of g_{t} is not in canonical form")
             rows = tuple({c: _lean(x) for c, x in b.entries} for b in basis)
             index = self._degrees[t] = (_block_shapes(self.frame, t, self.component_dim),
-                                        pivots, rows)
+                                        pivots, rows, {id(b): i for i, b in enumerate(basis)})
         return index
 
     def _read_off(self, t: int, values: Mapping[int, Fraction]) -> tuple:
@@ -363,7 +377,7 @@ class ProlongationResult(Record):
         element with flat entries ``values``, or MembershipError: they are
         its entries at the pivot columns, and it is a member exactly when
         subtracting that combination of basis vectors leaves no nonzero."""
-        _, pivots, rows = self._degree(t)
+        _, pivots, rows, _ = self._degree(t)
         coords = tuple([_lean(x) if (x := values.get(p)) else 0 for p in pivots])
         residual = dict(values)
         for c, row in zip(coords, rows):
@@ -376,15 +390,23 @@ class ProlongationResult(Record):
         return coords
 
     def _coordinates(self, el: HomElement) -> tuple:
-        """:meth:`_read_off` of ``el`` after a check of its block shapes."""
-        if el.shapes != self._shapes(el.degree):
+        """The nonzero coordinates ``((i, value), ...)`` of ``el``.  This
+        result's own stored basis vector b^t_i, matched by ``is``, is
+        ``((i, 1),)``: it lies in g_t with its shapes by construction.  Any
+        other element, an equal copy too, has its block shapes checked and
+        goes through :meth:`_read_off`."""
+        shapes, _, _, ids = self._degree(el.degree)
+        if (i := ids.get(id(el))) is not None and self.bases[el.degree][i] is el:
+            return ((i, 1),)
+        if el.shapes != shapes:
             raise ValueError(f"element blocks do not have the shapes of g_{el.degree}")
-        return self._read_off(el.degree, {c: _lean(x) for c, x in el.entries})
+        coords = self._read_off(el.degree, {c: _lean(x) for c, x in el.entries})
+        return tuple((i, x) for i, x in enumerate(coords) if x)
 
     def coordinates_of(self, el: HomElement) -> Vec:
         """Coordinates of ``el`` in the stored basis of its degree; raises
         MembershipError when it lies outside the component."""
-        return tuple(map(Fraction, self._coordinates(el)))
+        return _dense_vec(self._coordinates(el), len(self._degree(el.degree)[1]))
 
     @cached_property
     def _table(self) -> dict[tuple[int, int, int, int], dict[int, Fraction]]:
@@ -437,12 +459,11 @@ class ProlongationResult(Record):
         return self._bracket_coords(k, i, t, w._image(a).items())
 
     def _bracket_coords(self, k: int, i: int, t: int, coords) -> dict[int, Fraction]:
-        """Coordinates of [b^k_i, w] for w in g_t given by its coordinate
-        pairs ``(r, value)``, as a new dict."""
+        """Coordinates of [b^k_i, w] for w in g_t given by its nonzero
+        coordinate pairs ``(r, value)``, as a new dict."""
         acc: dict[int, Fraction] = {}
         for r, x in coords:
-            if x:
-                _add_scaled(acc, x, self._entry(k, i, t, r).items())
+            _add_scaled(acc, x, self._entry(k, i, t, r).items())
         return acc
 
     def bracket(self, u: HomElement, v: HomElement) -> HomElement:
@@ -454,11 +475,10 @@ class ProlongationResult(Record):
             raise ValueError("both elements must have nonnegative degree")
         a, b = self._coordinates(u), self._coordinates(v)
         k, m = u.degree, v.degree
-        shapes, _, rows = self._degree(k + m)
+        shapes, _, rows, _ = self._degree(k + m)
         acc: dict[int, Fraction] = {}
-        for i, x in enumerate(a):
-            if x:
-                _add_scaled(acc, x, self._bracket_coords(k, i, m, enumerate(b)).items())
+        for i, x in a:
+            _add_scaled(acc, x, self._bracket_coords(k, i, m, b).items())
         values: dict[int, Fraction] = {}
         for q, c in acc.items():
             if c:

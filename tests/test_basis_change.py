@@ -1,9 +1,9 @@
 """The sparse basis changes against the dense formulas they replaced.
 
 ``change_of_basis`` and ``nilpotentisation`` read ``P`` and ``P^-1``
-through their nonzero entries; ``grading_derivation``, ``dilation`` and
-``hom0_to_endo`` go through ``linalg.conjugate``, one elimination with
-no inverse.  The references below are the dense formulas of
+through their nonzero entries; ``grading_derivation``, ``dilation``,
+``hom0_to_endo`` and ``endomorphism_span`` go through ``linalg.conjugate``,
+one elimination with no inverse.  The references below are the dense formulas of
 ``helpers``: ``invert`` plus ``apply`` and ``P F P^-1``.
 Arithmetic is exact and canonical forms are unique, so the two routes
 must agree entry for entry, in each catalog basis and in seeded
@@ -26,7 +26,7 @@ from carnot.grading import (
 )
 from carnot.liealg import LieAlgebra, SingularMatrixError
 from carnot.linalg import Matrix, Subspace, invert
-from carnot.tanaka import AdaptedFrame, hom0_to_endo, prolong
+from carnot.tanaka import AdaptedFrame, endomorphism_span, hom0_to_endo, prolong
 
 from helpers import apply, col, hom_blocks, hom_from_blocks, is_zero_vec, matmul, scaled, zeros
 from propsuites import random_unimodular
@@ -146,6 +146,21 @@ def test_hom0_to_endo_matches_dense_reference(name):
             for d in (frame.layer_dim(l) for l in range(1, frame.step + 1))))
         for el in result.bases[0] + (generic,):
             assert hom0_to_endo(frame, el) == ref_hom0_to_endo(frame, el), label
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_endomorphism_span_matches_dense_reference(name):
+    # one stacked elimination for all elements against one dense conjugate each
+    for label, L, s in cases(name):
+        result = prolong(L, s, 0)
+        frame, elements = result.frame, result.bases[0]
+        want = Subspace.from_rows([ref_hom0_to_endo(frame, el).flatten() for el in elements],
+                                  frame.dim ** 2)
+        assert endomorphism_span(frame, elements) == want, label
+        # zero elements anywhere, trailing ones too, span nothing
+        zero = elements[0].scaled(0)
+        assert endomorphism_span(frame, (zero,) + elements + (zero, zero)) == want, label
+        assert endomorphism_span(frame, ()) == Subspace.zero(frame.dim ** 2), label
 
 
 @pytest.mark.parametrize("name", ENTRIES + ["deformed_h_16"])

@@ -291,6 +291,21 @@ def test_conjugate_matches_dense_product():
         conjugate([((0, F(1)),), ((0, F(2)),)], [{}, {}])
 
 
+def test_conjugate_stacks_maps_on_copies_of_the_space():
+    # an image key s n + r stands for p_r in the s-th copy of the space, so
+    # one elimination gives the conjugates of several image sets, stacked
+    rng = random.Random(89)
+    for n in range(2, 6):
+        p = random_unimodular(n, rng, shears=2 * n)
+        basis = [tuple((i, x) for i, x in enumerate(col(p, j)) if x) for j in range(n)]
+        sets = [[{r: F(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for r in range(n)}
+                 for _ in range(n)] for _ in range(3)]
+        stacked = [{s * n + r: x for s, images in enumerate(sets) for r, x in images[a].items()}
+                   for a in range(n)]
+        want = [row for images in sets for row in conjugate(basis, images).entries]
+        assert conjugate(basis, stacked) == M(want, n)
+
+
 # Reference route: the dense nullspace extraction the reducer used before
 # it read solutions off its sparse reduced rows, followed by a second
 # reduction.  It reads only the reducer's ``_pivots`` and ``width`` and

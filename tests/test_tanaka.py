@@ -812,6 +812,106 @@ def test_bracket_table_does_not_depend_on_fill_order(name, cap):
                 result.bracket(other, bad)
 
 
+# ---------------------------------------------------------------------------
+# a result reads its own stored basis vectors by identity; every other
+# element, an equal copy or a basis vector of another tower, is read off
+# ---------------------------------------------------------------------------
+
+def identity_towers():
+    """New towers to degree 3 of heisenberg_3 and of the half-Heisenberg
+    algebra [e1, e2] = e3 / 2: the same block shapes in every degree, and
+    g_1, g_2, g_3 differ."""
+    entry = catalog.get("heisenberg_3")
+    half = parse("dim 3\nlayers 1..2; 3..3\nbracket 1 2 = 1/2*3\n")
+    half_strat = verify_stratification(half.algebra, coordinate_layers(3, half.layer_ranges))
+    return {"heisenberg_3": prolong(entry.algebra, strat_of(entry), 3),
+            "half_heisenberg_3": prolong(half.algebra, half_strat, 3)}
+
+
+def rebuilt(el):
+    """An equal copy of ``el`` that is not the same object."""
+    return HomElement(el.degree, el.shapes, el.entries)
+
+
+def count_read_offs(monkeypatch):
+    """The degrees of every ``ProlongationResult._read_off`` call from now on."""
+    calls = []
+    read_off = ProlongationResult._read_off
+
+    def counted(self, t, values):
+        calls.append(t)
+        return read_off(self, t, values)
+
+    monkeypatch.setattr(ProlongationResult, "_read_off", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "half_heisenberg_3"])
+def test_stored_basis_brackets_equal_brackets_of_copies(name, monkeypatch):
+    result = identity_towers()[name]
+    calls = count_read_offs(monkeypatch)
+    memo = {}
+    for k in range(4):
+        for m in range(4 - k):
+            for u in result.bases[k]:
+                for v in result.bases[m]:
+                    got = result.bracket(u, v)
+                    # every entry is now in the table: stored inputs read nothing
+                    before = len(calls)
+                    assert result.bracket(u, v) == got
+                    assert len(calls) == before
+                    # equal copies are read off, one read-off per input
+                    assert result.bracket(rebuilt(u), rebuilt(v)) == got
+                    assert calls[before:] == [k, m]
+                    assert got.flatten() == ref_bracket(result, u, v, memo).flatten()
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "half_heisenberg_3"])
+def test_coordinates_of_stored_basis_is_unit_vector(name, monkeypatch):
+    result = identity_towers()[name]
+    calls = count_read_offs(monkeypatch)
+    for basis in result.bases:
+        for i, u in enumerate(basis):
+            coords = result.coordinates_of(u)
+            assert coords == unit_vec(len(basis), i)
+            assert all(type(x) is F for x in coords)
+    assert calls == []
+    for t, basis in enumerate(result.bases):
+        for i, u in enumerate(basis):
+            assert result.coordinates_of(rebuilt(u)) == unit_vec(len(basis), i)
+    assert len(calls) == sum(result.dims)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except MembershipError as exc:
+        return ("MembershipError", str(exc))
+
+
+@pytest.mark.parametrize("name,other", [("heisenberg_3", "half_heisenberg_3"),
+                                        ("half_heisenberg_3", "heisenberg_3")])
+def test_stored_basis_of_another_tower_gets_no_trust(name, other, monkeypatch):
+    towers = identity_towers()
+    result, foreign = towers[name], towers[other]
+    calls = count_read_offs(monkeypatch)
+    rejected = 0
+    for t in range(4):
+        for w in foreign.bases[t]:
+            assert w.shapes == result.bases[t][0].shapes
+            before = len(calls)
+            got = _outcome(result.coordinates_of, w)
+            assert calls[before:] == [t]
+            assert got == _outcome(result.coordinates_of, rebuilt(w))
+            rejected += got[0] == "MembershipError"
+            for m in range(4 - t):
+                for v in result.bases[m]:
+                    assert _outcome(result.bracket, w, v) == _outcome(result.bracket, rebuilt(w), v)
+                    assert _outcome(result.bracket, v, w) == _outcome(result.bracket, v, rebuilt(w))
+    # g_0 is the same for both algebras; most of g_1..g_3 is not
+    assert rejected > 0
+
+
 def _public_scalars(L):
     """Every scalar of the public values computed from ``L``, labelled."""
     n = L.dim
