@@ -35,10 +35,11 @@ from .linalg import (
     Record,
     RowReducer,
     Scalar,
+    SparseRow,
     Subspace,
     _dense_vec,
     conjugate,
-    invert,
+    invert,  # noqa: F401 -- not called; bench/selftest.py checks that its tracer wraps it
     quotient_basis,
     rat,
     residual,
@@ -200,7 +201,7 @@ def filtration_from_horizontal(L: LieAlgebra, h: Subspace) -> Filtration:
 
 class GrResult(NamedTuple):
     algebra: LieAlgebra
-    adapted_basis: Matrix  # rows are the adapted basis vectors
+    adapted_basis: tuple[SparseRow, ...]  # the adapted basis vectors, in order
     stratification: Stratification
 
 
@@ -222,13 +223,8 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
         new = quotient_basis(filt.terms[i - 1], filt.terms[i])
         reps.extend(new)
         weights.extend([i + 1] * len(new))
-    n = L.dim
-    adapted = Matrix(n, n, tuple(_dense_vec(r, n) for r in reps))
-    a_cols = adapted.transpose()
-    a_inv = invert(a_cols)
-    assert a_inv is not None
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b), coords in L._transported(a_cols, a_inv):
+    for (a, b), coords in L._transported(reps):
         w = weights[a] + weights[b]
         # brackets respect the filtration: nothing above weight w
         assert all(weights[k] <= w for k in coords)
@@ -237,10 +233,10 @@ def nilpotentisation(L: LieAlgebra, h: Subspace) -> GrResult:
         graded = {k: c for k, c in coords.items() if weights[k] == w}
         if graded:
             brackets[(a, b)] = graded
-    gr = LieAlgebra.from_brackets(n, brackets).validated()
+    gr = LieAlgebra.from_brackets(L.dim, brackets).validated()
     ranges = consecutive_ranges([weights.count(w) for w in range(1, s + 1)])
-    strat = verify_stratification(gr, coordinate_layers(n, ranges))
-    return GrResult(gr, adapted, strat)
+    strat = verify_stratification(gr, coordinate_layers(L.dim, ranges))
+    return GrResult(gr, tuple(reps), strat)
 
 
 class StratifiabilityVerdict(Record):

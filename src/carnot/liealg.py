@@ -35,9 +35,8 @@ from .linalg import (
     Vec,
     _dense_vec,
     _lean,
-    _sparse_cols,
+    _solve_basis,
     as_vec,
-    invert,
     rat,
     solution_space,
 )
@@ -301,26 +300,28 @@ class LieAlgebra(Record):
         of the invertible matrix ``p``."""
         if p.rows != self.dim or p.cols != self.dim:
             raise ValueError("change of basis matrix shape mismatch")
-        p_inv = invert(p)
-        if p_inv is None:
+        return self._changed_basis([tuple((i, row[j]) for i, row in enumerate(p.entries) if row[j])
+                                    for j in range(self.dim)])
+
+    def _changed_basis(self, basis: Sequence[SparseRow]) -> "LieAlgebra":
+        """:meth:`change_of_basis` to the basis vectors ``basis``, given
+        as sparse rows."""
+        return LieAlgebra.from_brackets(self.dim, dict(self._transported(basis)), self.labels)
+
+    def _transported(self, basis: Sequence[SparseRow]):
+        """Yield ``((i, j), {k: c})`` for each nonzero [p_i, p_j], i < j,
+        written in the basis of the vectors p_i, given as sparse rows.
+
+        The p_i are bracketed by :meth:`_brackets`, and only the nonzero
+        coordinates of a bracket are mapped through the sparse columns of
+        P^-1, read off one elimination of the rows [p_a | e_a]
+        (``linalg._solve_basis``).  Raises :class:`SingularMatrixError`
+        when the p_i are not a basis.  Integral coefficients are ``int``."""
+        n = self.dim
+        inv_cols = _solve_basis(basis, [{a: 1} for a in range(n)]) if len(basis) == n else None
+        if inv_cols is None:
             raise SingularMatrixError("change of basis matrix is singular")
-        return self._changed_basis(p, p_inv)
-
-    def _changed_basis(self, p: Matrix, p_inv: Matrix) -> "LieAlgebra":
-        """:meth:`change_of_basis` for a caller that already holds
-        ``p_inv``, the inverse of ``p``."""
-        return LieAlgebra.from_brackets(self.dim, dict(self._transported(p, p_inv)), self.labels)
-
-    def _transported(self, p: Matrix, p_inv: Matrix):
-        """Yield ``((i, j), {k: c})`` for each nonzero [P e_i, P e_j],
-        i < j, written in the basis of the columns of ``p``.
-
-        The sparse columns of ``p`` are bracketed by :meth:`_brackets`, and
-        only the nonzero coordinates of a bracket are mapped through the
-        sparse columns of ``p_inv``.  Integral coefficients are ``int``."""
-        cols = [col.items() for col in _sparse_cols(p)]
-        inv_cols = _sparse_cols(p_inv)
-        for i, j, w in self._brackets(cols, cols, upper=True):
+        for i, j, w in self._brackets(basis, basis, upper=True):
             out: dict[int, Fraction] = {}
             for k, z in w.items():
                 for q, c in inv_cols[k].items():

@@ -16,10 +16,12 @@ format of ``tanaka.HomElement.entries`` and of each bracket of
 ``liealg.LieAlgebra.table``).  A ``Subspace`` keeps its
 canonical reduced row echelon basis as sparse rows, so equality of
 subspaces is equality of those tuples; ``basis_rows()`` is the dense
-view for rendering.  ``Matrix`` is the dense exchange format of basis
-changes and witnesses; hot paths read its nonzero entries
-(``_sparse_cols``).  A map given on a basis is written in the original
-coordinates by one route, :func:`conjugate`.
+view for rendering.  ``Matrix`` is the dense format of maps and
+witnesses at the public boundary.  Basis vectors travel as sparse rows:
+one elimination of the rows ``[p_a | r_a]`` (:func:`_solve_basis`) gives
+the columns of ``P^-1`` for a basis change (``r_a = e_a``) and a map
+given on a basis in the original coordinates (:func:`conjugate`), with
+no dense inverse.
 
 One coefficient rule: private sparse indexes (``LieAlgebra._ad``, basis
 change columns, the tower's rows and bracket table) hold integral values
@@ -189,10 +191,6 @@ class Matrix(Record):
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
-
-    def transpose(self) -> "Matrix":
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return Matrix(self.cols, self.rows, data)
 
     def flatten(self) -> Vec:
         """Row-major flattening; endomorphisms live in ambient dim rows*cols."""
@@ -473,16 +471,6 @@ def _dense_vec(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vec:
     return tuple(out)
 
 
-def _sparse_cols(m: Matrix) -> list[dict[int, Fraction]]:
-    """The nonzero entries of each column of ``m``, as ``{row: _lean(value)}``."""
-    cols: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = _lean(x)
-    return cols
-
-
 def solution_space(rows: Iterable, width: int) -> Subspace:
     """The exact solution space {x : row·x = 0 for every row}, in canonical
     form, for dense rows of length ``width`` or sparse column mappings.
@@ -552,6 +540,26 @@ def quotient_basis(sub: Subspace, whole: Subspace) -> list[SparseRow]:
     return [row for row in whole.rows if red.add(dict(row))]
 
 
+def _solve_basis(basis: Sequence[Iterable[tuple[int, Fraction]]],
+                 rhs: Sequence[Mapping[int, Fraction]]) -> Optional[list[dict[int, Fraction]]]:
+    """Row reduce the rows [p_a | r_a] of n vectors p_a of Q^n, given as
+    sparse rows, and their right-hand sides r_a, given as ``{column:
+    value}``; return the right-hand rows of the result [I | X] as
+    ``{column: _lean(value)}``, or None when the p_a are not a basis.
+
+    With the p_a as the columns of P and the r_a as the rows of R,
+    X = (P^-1)^T R.  So with r_a = e_a, row i of X is column i of P^-1."""
+    n = len(basis)
+    red = RowReducer(n + max((c + 1 for r in rhs for c in r), default=0))
+    for p, r in zip(basis, rhs):
+        red.add({**dict(p), **{n + c: x for c, x in r.items()}})
+    reduced = red._reduced_rows()  # row a is zero at every other pivot
+    if any(a not in reduced for a in range(n)):
+        return None
+    return [{c - n: _lean(Fraction(v, reduced[a][a])) for c, v in reduced[a].items() if c >= n}
+            for a in range(n)]
+
+
 def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction]]) -> Matrix:
     """The map M with M p_a = sum_r images[a][r] p_r for the basis vectors
     p_a given as sparse rows, in the coordinates the p_a are written in.
@@ -559,23 +567,22 @@ def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction
     space, so several maps M_s, stacked as the rows of M, share one elimination.
 
     With the p_a as the columns of P and A[r][a] = images[a][r], M = P A
-    P^-1 solves P^T M^T = A^T P^T: row reducing the rows [p_a | M p_a]
-    leaves [I | M^T], with no inverse and no matrix product."""
+    P^-1 solves P^T M^T = A^T P^T: :func:`_solve_basis` of the rows
+    [p_a | M p_a] leaves [I | M^T], with no inverse and no matrix product."""
     n = len(basis)
     e = max((r // n + 1 for image in images for r in image), default=1)
-    red = RowReducer((e + 1) * n)
-    for p, image in zip(basis, images):
-        row = dict(p)
+    rhs = []
+    for image in images:
+        row: dict[int, Fraction] = {}
         for r, c in image.items():
-            off = n + r - r % n
+            off = r - r % n
             for col, x in basis[r % n]:
                 row[off + col] = row.get(off + col, 0) + c * x
-        red.add(row)
-    echelon = red.echelon()
-    if list(echelon) != list(range(n)):
+        rhs.append(row)
+    m_t = _solve_basis(basis, rhs)
+    if m_t is None:
         raise ValueError("the basis vectors are not a basis")
-    m_t = [_dense_vec(((c - n, x) for c, x in row if c >= n), e * n) for row in echelon.values()]
-    return Matrix(e * n, n, tuple(zip(*m_t)))
+    return Matrix(e * n, n, tuple(zip(*(_dense_vec(row.items(), e * n) for row in m_t))))
 
 
 def invert(m: Matrix) -> Optional[Matrix]:

@@ -60,7 +60,6 @@ from .linalg import (
     _dense_vec,
     _lean,
     conjugate,
-    invert,
     rat,
     solution_space,
     # not called here (coordinates are read off at pivots), but the
@@ -83,8 +82,6 @@ class AdaptedFrame(Record):
 
     algebra: LieAlgebra
     stratification: Stratification
-    cols: Matrix             # adapted vectors as columns
-    cols_inv: Matrix
     graded: LieAlgebra       # the algebra in adapted coordinates
     weights: tuple[int, ...]  # layer weight of each adapted index (1..s)
     offsets: tuple[int, ...]  # start of each layer block; offsets[s] == dim
@@ -93,18 +90,13 @@ class AdaptedFrame(Record):
     def build(L: LieAlgebra, s: Stratification) -> "AdaptedFrame":
         if s.ambient_dim != L.dim:
             raise ValueError("stratification ambient dimension mismatch")
-        rows = [row for v in s.layers for row in v.basis_rows()]
-        cols = Matrix(L.dim, L.dim, tuple(zip(*rows)))
-        cols_inv = invert(cols)
-        assert cols_inv is not None
-        graded = L._changed_basis(cols, cols_inv)
+        graded = L._changed_basis([row for v in s.layers for row in v.rows])
         weights: list[int] = []
         offsets = [0]
         for j, v in enumerate(s.layers):
             weights.extend([j + 1] * v.dim)
             offsets.append(offsets[-1] + v.dim)
-        frame = AdaptedFrame(L, s, cols, cols_inv, graded,
-                             tuple(weights), tuple(offsets))
+        frame = AdaptedFrame(L, s, graded, tuple(weights), tuple(offsets))
         frame._check_graded()
         return frame
 

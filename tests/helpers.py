@@ -55,6 +55,17 @@ def col(m: Matrix, j: int) -> Vec:
     return tuple(row[j] for row in m.entries)
 
 
+def transpose(m: Matrix) -> Matrix:
+    data = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
+    return Matrix(m.cols, m.rows, data)
+
+
+def basis_matrix(rows, n: int) -> Matrix:
+    """The dense n x n matrix P whose columns are the basis vectors given
+    as sparse rows."""
+    return transpose(Matrix.from_rows([[dict(row).get(k, 0) for k in range(n)] for row in rows], n))
+
+
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
@@ -74,7 +85,7 @@ def matmul(*ms: Matrix) -> Matrix:
     for m in ms[1:]:
         if out.cols != m.rows:
             raise ValueError("incompatible shapes for product")
-        cols = m.transpose().entries
+        cols = transpose(m).entries
         out = Matrix(out.rows, m.cols, tuple(
             tuple(sum((a * b for a, b in zip(row, c)), Fraction(0)) for c in cols)
             for row in out.entries))
@@ -164,7 +175,7 @@ def ad_matrix(L: LieAlgebra, x) -> Matrix:
     if len(xx) != L.dim:
         raise ValueError(f"vector must have length {L.dim}")
     cols = [L.bracket(xx, unit_vec(L.dim, j)) for j in range(L.dim)]
-    return Matrix.from_rows(cols, L.dim).transpose()
+    return transpose(Matrix.from_rows(cols, L.dim))
 
 
 def is_derivation(L: LieAlgebra, u: Matrix) -> bool:

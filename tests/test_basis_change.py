@@ -1,10 +1,12 @@
 """The sparse basis changes against the dense formulas they replaced.
 
-``change_of_basis`` and ``nilpotentisation`` read ``P`` and ``P^-1``
-through their nonzero entries; ``grading_derivation``, ``dilation``,
-``hom0_to_endo`` and ``endomorphism_span`` go through ``linalg.conjugate``,
-one elimination with no inverse.  The references below are the dense formulas of
-``helpers``: ``invert`` plus ``apply`` and ``P F P^-1``.
+``change_of_basis``, ``AdaptedFrame`` and ``nilpotentisation`` take the
+basis vectors as sparse rows and read ``P^-1`` off one elimination of
+``[p_a | e_a]``; ``grading_derivation``, ``dilation``, ``hom0_to_endo``
+and ``endomorphism_span`` go through ``linalg.conjugate``, the same
+elimination of ``[p_a | M p_a]``.  Neither builds a dense inverse.  The
+references below are the dense formulas of ``helpers``: ``P`` built
+from the basis vectors, ``invert`` plus ``apply`` and ``P F P^-1``.
 Arithmetic is exact and canonical forms are unique, so the two routes
 must agree entry for entry, in each catalog basis and in seeded
 unimodular conjugates.
@@ -28,7 +30,8 @@ from carnot.liealg import LieAlgebra, SingularMatrixError
 from carnot.linalg import Matrix, Subspace, invert
 from carnot.tanaka import AdaptedFrame, endomorphism_span, hom0_to_endo, prolong
 
-from helpers import apply, col, hom_blocks, hom_from_blocks, is_zero_vec, matmul, scaled, zeros
+from helpers import (apply, basis_matrix, col, hom_blocks, hom_from_blocks, is_zero_vec, matmul,
+                     scaled, zeros)
 from propsuites import random_unimodular
 
 F = Fraction
@@ -53,7 +56,7 @@ def ref_change_of_basis(L, p):
 
 def ref_block_scalar_map(s, factors):
     n = s.ambient_dim
-    p = Matrix.from_rows([row for v in s.layers for row in v.basis_rows()], n).transpose()
+    p = basis_matrix([row for v in s.layers for row in v.rows], n)
     scale = [f for f, v in zip(factors, s.layers) for _ in range(v.dim)]
     diag = Matrix.from_rows([[scale[i] if k == i else 0 for k in range(n)] for i in range(n)], n)
     return matmul(p, diag, invert(p))
@@ -67,15 +70,17 @@ def ref_hom0_to_endo(frame, el):
         for r, row in enumerate(hom_blocks(el)[l - 1].entries):
             for c, x in enumerate(row):
                 rows[off + r][off + c] = x
-    return matmul(frame.cols, Matrix.from_rows(rows, n), frame.cols_inv)
+    p = basis_matrix([row for v in frame.stratification.layers for row in v.rows], n)
+    return matmul(p, Matrix.from_rows(rows, n), invert(p))
 
 
 def ref_gr_brackets(L, adapted, weights, step):
     """The graded bracket table of the nilpotentisation, from the adapted
-    basis (rows) and the weight of each adapted vector."""
+    basis vectors (sparse rows) and the weight of each of them."""
     n = L.dim
-    a_inv = invert(adapted.transpose())
-    reps = adapted.entries
+    p = basis_matrix(adapted, n)
+    a_inv = invert(p)
+    reps = [col(p, a) for a in range(n)]
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):

@@ -169,7 +169,7 @@ def test_filtration_respects_brackets(deformed):
 def test_nilpotentisation_of_stratified_is_identity(example1):
     gr = nilpotentisation(example1, coord_span(16, 1, 10))
     assert gr.algebra.table == example1.table
-    assert gr.adapted_basis == Matrix.identity(16)
+    assert gr.adapted_basis == Subspace.full(16).rows
     assert gr.stratification.layer_dims == (10, 6)
 
 
@@ -182,7 +182,7 @@ def test_nilpotentisation_heisenberg():
 def test_nilpotentisation_of_deformed_recovers_example1(example1, deformed):
     gr = nilpotentisation(deformed, coord_span(16, 1, 10))
     assert gr.algebra.table == example1.table
-    assert gr.adapted_basis == Matrix.identity(16)
+    assert gr.adapted_basis == Subspace.full(16).rows
     # idempotence: nilpotentising the result w.r.t. its first layer is stable
     again = nilpotentisation(gr.algebra, gr.stratification.layers[0])
     assert again.algebra.table == gr.algebra.table

@@ -7,9 +7,9 @@ import pytest
 from carnot import catalog
 from carnot.algfile import parse
 from carnot.grading import (coordinate_layers, grading_derivation, is_stratifiable,
-                            verify_stratification)
+                            nilpotentisation, verify_stratification)
 from carnot.liealg import LieAlgebra
-from carnot.linalg import Matrix, Subspace, solution_space, solve_affine, unit_vec
+from carnot.linalg import Matrix, Subspace, invert, solution_space, solve_affine, unit_vec
 from carnot.tanaka import (
     AdaptedFrame,
     ComponentNotComputedError,
@@ -23,10 +23,11 @@ from carnot.tanaka import (
     ultrarigidity_check,
 )
 
-from helpers import (apply, from_flat, grading_element, hom_blocks, hom_from_blocks, intersect,
-                     is_derivation, is_zero_vec, nullspace, pair_rows, random_two_step,
-                     reference_tower_rows, rref, two_step_dual, two_step_g0_dim, two_step_type,
-                     zero_vec, zeros)
+from helpers import (apply, basis_matrix, from_flat, grading_element, hom_blocks, hom_from_blocks,
+                     intersect, is_derivation, is_zero_vec, nullspace, pair_rows, random_two_step,
+                     reference_tower_rows, rref, transpose, two_step_dual, two_step_g0_dim,
+                     two_step_type, zero_vec, zeros)
+from propsuites import random_unimodular
 
 F = Fraction
 
@@ -390,23 +391,37 @@ def test_vanishing_is_monotone_when_computed_past_a_zero(ex1):
     assert g2 == []
 
 
-def test_adapted_frame_inverts_its_frame_once(ex1, monkeypatch):
-    import carnot.liealg
-    import carnot.tanaka
-    from carnot.linalg import invert
+def test_basis_changes_build_no_dense_inverse(ex1, monkeypatch):
+    # the frame, change_of_basis and nilpotentisation read P^-1 off one
+    # sparse elimination; the dense inverse is only the tests' reference
+    import carnot
 
-    calls = []
-
-    def counting_invert(m):
-        calls.append(m)
-        return invert(m)
-
-    monkeypatch.setattr(carnot.tanaka, "invert", counting_invert)
-    monkeypatch.setattr(carnot.liealg, "invert", counting_invert)
     L, s = ex1
-    frame = AdaptedFrame.build(L, s)
-    assert calls == [frame.cols]
-    assert frame.graded == L.change_of_basis(frame.cols)
+    q = random_unimodular(L.dim, random.Random(21), shears=6)
+    q_inv = invert(q)
+
+    def no_invert(m):
+        raise AssertionError("a dense inverse was built")
+
+    for module in (carnot.linalg, carnot.liealg, carnot.grading, carnot.tanaka):
+        if hasattr(module, "invert"):
+            monkeypatch.setattr(module, "invert", no_invert)
+    conj = L.change_of_basis(q)
+    conj_s = verify_stratification(conj, [
+        Subspace.from_rows([apply(q_inv, row) for row in v.basis_rows()], L.dim) for v in s.layers])
+    for M, strat in ((L, s), (conj, conj_s)):
+        frame = AdaptedFrame.build(M, strat)
+        p = basis_matrix([row for v in strat.layers for row in v.rows], M.dim)
+        assert frame.graded == M.change_of_basis(p)
+        # shear each horizontal vector by a layer-2 vector
+        v1, v2 = (v.basis_rows() for v in strat.layers)
+        sheared = Subspace.from_rows([tuple(x + y for x, y in zip(row, v2[i % len(v2)]))
+                                      for i, row in enumerate(v1)], M.dim)
+        assert sheared != strat.layers[0]
+        gr = nilpotentisation(M, sheared)
+        assert len(gr.adapted_basis) == M.dim
+        assert gr.stratification.layer_dims == strat.layer_dims
+        assert gr.algebra.lower_central_series().dims == M.lower_central_series().dims
 
 
 def test_hom_element_shapes(h3_prolonged):
@@ -623,7 +638,7 @@ def _ref_coordinates(result, el, memo=None):
         if not is_zero_vec(flat):
             raise MembershipError(f"nonzero element of vanishing component g_{el.degree}")
         return ()
-    cols = Matrix.from_rows([b.flatten() for b in basis], len(flat)).transpose()
+    cols = transpose(Matrix.from_rows([b.flatten() for b in basis], len(flat)))
     sol = solve_affine(cols, flat)
     if sol is None:
         raise MembershipError(f"element does not lie in the computed g_{el.degree}")
@@ -675,7 +690,7 @@ def ref_bracket(result, u, v, memo=None):
         if td == 0:
             blocks.append(zeros(0, frame.layer_dim(l)))
         else:
-            blocks.append(Matrix.from_rows(cols, td).transpose())
+            blocks.append(transpose(Matrix.from_rows(cols, td)))
     out = hom_from_blocks(K, tuple(blocks))
     _ref_coordinates(result, out, memo)
     return out
