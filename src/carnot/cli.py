@@ -39,7 +39,7 @@ def _resolve(source: str) -> tuple[str, LieAlgebra, Optional[tuple[tuple[int, in
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 parsed = algfile.parse(fh.read())
-        except AlgebraFileError as e:
+        except (AlgebraFileError, OSError, UnicodeDecodeError) as e:
             raise CliError(f"{source}: {e}", 2) from None
         return source, parsed.algebra, parsed.layer_ranges
     try:

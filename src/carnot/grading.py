@@ -42,9 +42,7 @@ from .linalg import (
     invert,  # noqa: F401 -- not called; bench/selftest.py checks that its tracer wraps it
     quotient_basis,
     rat,
-    residual,
     solution_space,
-    solve_affine_rows,
 )
 
 
@@ -246,18 +244,21 @@ class StratifiabilityVerdict(Record):
 
 
 def is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
-    """Decide stratifiability via exact affine feasibility inside ``Der``.
+    """Decide stratifiability by one homogeneous solve inside ``Der``.
 
-    Seeks a feasible derivation d with f(d(e_i)) = f(e_i) for every basis
-    vector e_i and every functional f cutting out [g, g], i.e. with
-    (d - id)(g) in [g, g].  The unknowns are the coordinates of d on the
-    sparse canonical basis of :meth:`LieAlgebra.derivation_algebra`, so
-    the Leibniz system is not eliminated a second time.  The feasible set
-    is p + W with W in ``Der``.  The witness is its canonical min-lead
-    solution: the one element that is zero at the free columns of the
-    same system written in all n^2 entries of d, the :func:`residual` of
-    p modulo W in echelon form with leads at each vector's highest
-    nonzero column.  Every feasible d is semisimple (module docstring),
+    Seeks a derivation d with f(d(e_i)) = f(e_i) for every basis vector
+    e_i and every functional f of the annihilator of [g, g], i.e. with
+    (d - id)(g) in [g, g].  The unknowns are the coordinates x_a of d on
+    the sparse canonical basis D_a of :meth:`LieAlgebra.derivation_algebra`,
+    so the Leibniz system is not eliminated a second time, and one more,
+    x_m, for the right-hand side.  For the feasible set p + W the rows
+    [f_t(D_a e_i) | -f_t(e_i)] have the solutions W + span((p, 1)), so d
+    exists iff some solution reaches column m; if none does, nothing is
+    lifted.  The witness is the canonical min-lead feasible d: lifted to
+    n^2 entries with x_m at column n^2, the solutions reduce, with leads
+    at highest columns, to one row led by n^2, the one element with
+    x_m = 1 that is zero at the leads of lift(W); without its last entry
+    it is the witness.  Every feasible d is semisimple (module docstring),
     so the layers are the kernels ker(d - j), j = 1..s, validated as a
     stratification, and the witness is its grading derivation.
     """
@@ -266,15 +267,14 @@ def is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
         raise NotNilpotentError("only nilpotent algebras can be stratified")
     n = L.dim
     gamma2 = series.terms[1] if len(series.terms) > 1 else Subspace.zero(n)
-    functionals = gamma2.quotient_functionals()
     # the functionals reading coordinate k, as (functional, coefficient)
     readers: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for t, f in enumerate(functionals):
-        for k, c in f.items():
+    for t, f in enumerate(solution_space(map(dict, gamma2.rows), n).rows):
+        for k, c in f:
             readers[k].append((t, c))
     der = L.derivation_algebra().rows
     m = len(der)
-    # row (i, t): sum_a x_a f_t(D_a(e_i)) = f_t(e_i); D_a(e_i) has
+    # row (i, t): sum_a x_a f_t(D_a(e_i)) - x_m f_t(e_i) = 0; D_a(e_i) has
     # coordinate k at flat index k*n + i
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, d in enumerate(der):
@@ -285,24 +285,20 @@ def is_stratifiable(L: LieAlgebra) -> StratifiabilityVerdict:
                 row[a] = row.get(a, 0) + c * v
     for i in range(n):
         for t, c in readers[i]:
-            rows.setdefault((i, t), {})[m] = c
-    sol = solve_affine_rows(rows.values(), m)
-    if sol is None:
+            rows.setdefault((i, t), {})[m] = -c
+    solutions = solution_space(rows.values(), m + 1).rows
+    if not any(x[-1][0] == m for x in solutions):
         return StratifiabilityVerdict(False, None, None)
-
-    def lift(x) -> dict[int, Fraction]:
+    lift = der + (((n * n, 1),),)  # x_m at column n^2
+    lifted = RowReducer(n * n + 1, reverse=True)
+    for x in solutions:
         out: dict[int, Fraction] = {}
         for a, xa in x:
-            if xa:
-                for col, v in der[a]:
-                    out[col] = out.get(col, 0) + xa * v
-        return out
-
-    w = RowReducer(n * n, reverse=True)
-    for h in sol.homogeneous.rows:
-        w.add(lift(h))
+            for col, v in lift[a]:
+                out[col] = out.get(col, 0) + xa * v
+        lifted.add(out)
     d_rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for col, v in residual(lift(enumerate(sol.particular)), w.echelon()).items():
+    for col, v in lifted.echelon()[n * n][:-1]:
         k, i = divmod(col, n)
         d_rows[k][i] = v
     layers = [solution_space([{**r, k: r.get(k, 0) - j} for k, r in enumerate(d_rows)], n)

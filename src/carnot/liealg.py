@@ -9,7 +9,7 @@ series) goes through one sparse index with both orientations, built once
 per object, so work scales with the nonzero brackets rather than with
 ``dim**3``, and the table itself costs no ``dim``-long vector.  The
 index holds integral values as ``int`` (``linalg._lean``).  Basis
-indices are 0-based internally; the default labels are ``e1..en``.
+indices are 0-based internally and rendered ``e1..en``.
 
 One walk, :meth:`LieAlgebra._brackets`, brackets sparse vectors for
 ``bracket``, ``bracket_span`` and basis changes (``_transported``).
@@ -101,21 +101,14 @@ class LieAlgebra(Record):
     """
 
     dim: int
-    labels: tuple[str, ...]
     table: tuple[tuple[tuple[int, int], SparseRow], ...]
 
     @staticmethod
-    def from_brackets(dim: int,
-                      brackets: Mapping[tuple[int, int], Iterable[Scalar] | Mapping[int, Scalar]],
-                      labels: Sequence[str] | None = None) -> "LieAlgebra":
+    def from_brackets(
+            dim: int,
+            brackets: Mapping[tuple[int, int], Iterable[Scalar] | Mapping[int, Scalar]]) -> "LieAlgebra":
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if labels is None:
-            labels = tuple(f"e{i + 1}" for i in range(dim))
-        else:
-            labels = tuple(labels)
-            if len(labels) != dim:
-                raise ValueError("label count must equal dimension")
         entries = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
@@ -130,7 +123,7 @@ class LieAlgebra(Record):
             if row:
                 entries[(i, j)] = row
         table = tuple(sorted(entries.items()))
-        return LieAlgebra(dim, labels, table)
+        return LieAlgebra(dim, table)
 
     def validated(self) -> "LieAlgebra":
         """Return self after checking Jacobi; raises NotLieAlgebraError
@@ -306,7 +299,7 @@ class LieAlgebra(Record):
     def _changed_basis(self, basis: Sequence[SparseRow]) -> "LieAlgebra":
         """:meth:`change_of_basis` to the basis vectors ``basis``, given
         as sparse rows."""
-        return LieAlgebra.from_brackets(self.dim, dict(self._transported(basis)), self.labels)
+        return LieAlgebra.from_brackets(self.dim, dict(self._transported(basis)))
 
     def _transported(self, basis: Sequence[SparseRow]):
         """Yield ``((i, j), {k: c})`` for each nonzero [p_i, p_j], i < j,

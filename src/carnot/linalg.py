@@ -371,13 +371,14 @@ def residual(v: Mapping[int, Fraction], echelon: Mapping[int, SparseRow]) -> dic
     :meth:`RowReducer.echelon`): v - sum_p v[p] row_p, which is zero at
     every pivot, and empty iff ``v`` lies in the span.  The rows are zero
     at each other's pivots, so only the rows at ``v``'s nonzero
-    coordinates are read, in any order."""
+    coordinates are read, in any order.  A new entry starts from ``int``
+    0, so lean ``int`` vectors and rows stay in ``int`` arithmetic."""
     out = dict(v)
     for p, c in v.items():
         row = echelon.get(p)
         if row and c:
             for col, x in row:
-                out[col] = out.get(col, _ZERO) - c * x
+                out[col] = out.get(col, 0) - c * x
     return {col: x for col, x in out.items() if x}
 
 
@@ -443,24 +444,6 @@ class Subspace(Record):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return Subspace.from_rows(map(dict, self.rows + other.rows), self.ambient_dim)
-
-    def quotient_functionals(self) -> list[dict[int, Fraction]]:
-        """Linear functionals cutting out this subspace, as ``{column:
-        coefficient}``: ``v`` belongs to the subspace iff every returned
-        functional vanishes on ``v``.
-
-        One functional per non-pivot coordinate q, in ascending q (the
-        coordinates of the canonical projection onto the complement):
-        1 at q and -row_p[q] at each pivot p."""
-        out = {q: {q: _ONE} for q in range(self.ambient_dim)}
-        for row in self.rows:
-            p = row[0][0]
-            del out[p]
-        for row in self.rows:
-            p = row[0][0]
-            for q, x in row[1:]:
-                out[q][p] = -x
-        return list(out.values())
 
 
 def _dense_vec(pairs: Iterable[tuple[int, Fraction]], width: int) -> Vec:

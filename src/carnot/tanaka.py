@@ -61,6 +61,7 @@ from .linalg import (
     _lean,
     conjugate,
     rat,
+    residual,
     solution_space,
     # not called here (coordinates are read off at pivots), but the
     # benchmark self-test bench/selftest.py checks that its tracer wraps
@@ -345,11 +346,12 @@ class ProlongationResult(Record):
 
     def _degree(self, t: int) -> tuple:
         """The block shapes of g_t, the pivot columns of its stored basis,
-        each basis vector as ``{column: _lean(value)}`` and the index i of
-        each stored vector keyed by its ``id()``, cached per degree.
-        ``prolong`` stores each basis in canonical RREF, so vector i is 1 at
-        its pivot column (its first nonzero) and every other basis vector is
-        0 there; that is checked once per degree."""
+        the basis as reduced echelon rows ``{pivot: row}`` of :func:`_lean`
+        values for :func:`linalg.residual`, and the index i of each stored
+        vector keyed by its ``id()``, cached per degree.  ``prolong`` stores
+        each basis in canonical RREF: vector i is 1 at its pivot column (its
+        first nonzero) and every other basis vector is 0 there, which is
+        checked once per degree."""
         index = self._degrees.get(t)
         if index is None:
             basis = self.basis(t)
@@ -359,7 +361,7 @@ class ProlongationResult(Record):
                     b.entries[0][1] != 1 or sum(c in pset for c, _ in b.entries) != 1
                     for b in basis):
                 raise ValueError(f"stored basis of g_{t} is not in canonical form")
-            rows = tuple({c: _lean(x) for c, x in b.entries} for b in basis)
+            rows = {p: tuple((c, _lean(x)) for c, x in b.entries) for p, b in zip(pivots, basis)}
             index = self._degrees[t] = (_block_shapes(self.frame, t, self.component_dim),
                                         pivots, rows, {id(b): i for i, b in enumerate(basis)})
         return index
@@ -368,18 +370,13 @@ class ProlongationResult(Record):
         """The :func:`_lean` coordinates in the stored basis of g_t of the
         element with flat entries ``values``, or MembershipError: they are
         its entries at the pivot columns, and it is a member exactly when
-        subtracting that combination of basis vectors leaves no nonzero."""
+        its :func:`linalg.residual` against the basis rows is empty."""
         _, pivots, rows, _ = self._degree(t)
-        coords = tuple([_lean(x) if (x := values.get(p)) else 0 for p in pivots])
-        residual = dict(values)
-        for c, row in zip(coords, rows):
-            if c:
-                _add_scaled(residual, -c, row.items())
-        if any(residual.values()):
+        if residual(values, rows):
             if not pivots:
                 raise MembershipError(f"nonzero element of vanishing component g_{t}")
             raise MembershipError(f"element does not lie in the computed g_{t}")
-        return coords
+        return tuple([_lean(x) if (x := values.get(p)) else 0 for p in pivots])
 
     def _coordinates(self, el: HomElement) -> tuple:
         """The nonzero coordinates ``((i, value), ...)`` of ``el``.  This
@@ -467,14 +464,14 @@ class ProlongationResult(Record):
             raise ValueError("both elements must have nonnegative degree")
         a, b = self._coordinates(u), self._coordinates(v)
         k, m = u.degree, v.degree
-        shapes, _, rows, _ = self._degree(k + m)
+        shapes, pivots, rows, _ = self._degree(k + m)
         acc: dict[int, Fraction] = {}
         for i, x in a:
             _add_scaled(acc, x, self._bracket_coords(k, i, m, b).items())
         values: dict[int, Fraction] = {}
         for q, c in acc.items():
             if c:
-                _add_scaled(values, c, rows[q].items())
+                _add_scaled(values, c, rows[pivots[q]])
         return HomElement.from_nonzeros(k + m, shapes, values)
 
 

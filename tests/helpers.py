@@ -280,7 +280,7 @@ def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:
         if not is_zero_vec(image):
             # stored pair (i, n) = [e_i, e_{n+1}] = -d(e_i)
             brackets[(i, n)] = tuple(-x for x in image) + (Fraction(0),)
-    return LieAlgebra.from_brackets(n + 1, brackets, L.labels + (f"e{n + 1}",)).validated()
+    return LieAlgebra.from_brackets(n + 1, brackets).validated()
 
 
 def reference_feasible_set(L: LieAlgebra):
@@ -293,7 +293,11 @@ def reference_feasible_set(L: LieAlgebra):
         raise NotNilpotentError("only nilpotent algebras can be stratified")
     n = L.dim
     gamma2 = series.terms[1] if len(series.terms) > 1 else Subspace.zero(n)
-    functionals = gamma2.quotient_functionals()
+    # one functional per non-pivot coordinate q of the canonical rows:
+    # 1 at q and -row_p[q] at each pivot p
+    pivots = {row[0][0]: dict(row) for row in gamma2.rows}
+    functionals = [{q: Fraction(1), **{p: -row[q] for p, row in pivots.items() if q in row}}
+                   for q in range(n) if q not in pivots]
     rows = list(L.leibniz_rows())
     for i in range(n):
         for f in functionals:
@@ -385,3 +389,31 @@ def random_two_step(m: int, k: int, rng) -> LieAlgebra:
             break
     brackets = {ab: (0,) * m + tuple(r[q] for r in rows) for q, ab in enumerate(pairs)}
     return LieAlgebra.from_brackets(m + k, brackets).validated()
+
+
+# -- the dimension-7 certificate --------------------------------------------------
+
+# N7, of type (3,2,2) and step 3, has g_0 = span(D) and g_1 = 0.  G7 is
+# N7 without layers, with e7 added to [e1,e4] and two new brackets into
+# e7; each change adds a vector of weight below its bracket's weight, so
+# gr(G7) from the first layer is N7, while G7 has step 5 and is not
+# stratifiable.
+N7_TEXT = """dim 7
+layers 1..3; 4..5; 6..7
+bracket 1 2 = 4
+bracket 1 3 = 5
+bracket 1 4 = 7
+bracket 1 5 = -1*6
+bracket 2 4 = 6
+bracket 3 5 = -1*7
+"""
+G7_TEXT = """dim 7
+bracket 1 2 = 4
+bracket 1 3 = 5
+bracket 1 4 = 5 + 7
+bracket 1 5 = -1*6
+bracket 2 4 = 6
+bracket 2 6 = -1*7
+bracket 3 5 = -1*7
+bracket 4 5 = -1*7
+"""

@@ -51,7 +51,7 @@ def ref_change_of_basis(L, p):
             w = L.bracket(cols[i], cols[j])
             if not is_zero_vec(w):
                 brackets[(i, j)] = apply(p_inv, w)
-    return LieAlgebra.from_brackets(n, brackets, L.labels)
+    return LieAlgebra.from_brackets(n, brackets)
 
 
 def ref_block_scalar_map(s, factors):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from carnot.algfile import MAX_DIM
+from carnot.algfile import MAX_DIM, parse
 from carnot.cli import main
+from helpers import G7_TEXT, N7_TEXT
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,20 @@ def test_parse_error_exits_2_with_line_number(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_file_exits_2_with_a_message(capsys, tmp_path, kind):
+    source = tmp_path / "input.alg"
+    if kind == "directory":
+        source.mkdir()
+    else:
+        source.write_bytes(b"dim 3\n\xff\n")
+    code, out, err = run_cli(capsys, "check", str(source))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"carnot: {source}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_source_exits_2(capsys):
     code, _, err = run_cli(capsys, "check", "no_such_thing")
     assert code == 2
@@ -363,27 +378,46 @@ bracket 4 5 = 9
 _G9 = _N9.replace("layers 1..5; 6..9\n", "") + "bracket 1 6 = 7\n"
 
 
-def test_dimension_9_certificate(capsys, tmp_path):
-    n9, g9 = tmp_path / "n9.alg", tmp_path / "g9.alg"
-    n9.write_text(_N9, encoding="utf-8")
-    g9.write_text(_G9, encoding="utf-8")
-    code, out, _ = run_cli(capsys, "report", str(n9))
+def _check_certificate(capsys, tmp_path, n_text, g_text, layer_dims, n_series, g_series):
+    """N is an ultrarigid Carnot algebra with ``layer_dims``, G is
+    nilpotent and not stratifiable, and gr(G) from the first layer of N
+    prints N byte for byte."""
+    n_file, g_file = tmp_path / "n.alg", tmp_path / "g.alg"
+    n_file.write_text(n_text, encoding="utf-8")
+    g_file.write_text(g_text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "report", str(n_file))
     assert code == 0
     lines = out.splitlines()
-    grading = [0] * 81
-    for i in range(9):
-        grading[10 * i] = 1 if i < 5 else 2
-    for line in ("series_dims: 9 4 0", "stratifiable: true", "layer_dims: 5 4", "g0_dim: 1",
+    weights = [w + 1 for w, d in enumerate(layer_dims) for _ in range(d)]
+    n = len(weights)
+    grading = [0] * n * n
+    for i, w in enumerate(weights):
+        grading[(n + 1) * i] = w
+    for line in (f"series_dims: {n_series}", "stratifiable: true",
+                 "layer_dims: " + " ".join(map(str, layer_dims)), "g0_dim: 1",
                  "g0_basis[0]: " + " ".join(map(str, grading)),
                  "prolongation_dims: 1 0", "prolongation_finite: true",
                  "ultrarigid: true", "g1_trivial: true"):
         assert line in lines
-    code, out, _ = run_cli(capsys, "report", str(g9))
+    code, out, _ = run_cli(capsys, "report", str(g_file))
     assert code == 0
     lines = out.splitlines()
-    for line in ("jacobi: ok", "nilpotent: true", "step: 3", "series_dims: 9 4 1 0",
-                 "stratifiable: false"):
+    for line in ("jacobi: ok", "nilpotent: true", f"step: {len(g_series.split()) - 1}",
+                 f"series_dims: {g_series}", "stratifiable: false"):
         assert line in lines
-    code, out, _ = run_cli(capsys, "gr", str(g9), "--horizontal", "1..5")
+    code, out, _ = run_cli(capsys, "gr", str(g_file), "--horizontal", f"1..{layer_dims[0]}")
     assert code == 0
-    assert out == _N9
+    assert out == n_text
+
+
+def test_dimension_9_certificate(capsys, tmp_path):
+    _check_certificate(capsys, tmp_path, _N9, _G9, (5, 4), "9 4 0", "9 4 1 0")
+
+
+def test_dimension_7_certificate(capsys, tmp_path):
+    # step 3: the deformation adds to three brackets vectors of weight
+    # below the bracket's weight, which gr does not see; Der tells G7 and
+    # N7 apart a second time
+    _check_certificate(capsys, tmp_path, N7_TEXT, G7_TEXT, (3, 2, 2), "7 4 2 0", "7 4 3 2 1 0")
+    assert parse(N7_TEXT).algebra.derivation_algebra().dim == 11
+    assert parse(G7_TEXT).algebra.derivation_algebra().dim == 10

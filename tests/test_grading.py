@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from carnot import catalog
+from carnot.algfile import parse
 from carnot.grading import (
     LayerGenerationError,
     NotBracketGeneratingError,
@@ -23,8 +24,8 @@ from carnot.grading import (
 from carnot.liealg import LieAlgebra
 from carnot.linalg import Matrix, Subspace, unit_vec
 
-from helpers import (apply, col, dense_table, from_flat, is_derivation, matmul, matsub, nullspace,
-                     reference_feasible_set, reference_is_stratifiable, scaled,
+from helpers import (G7_TEXT, N7_TEXT, apply, col, dense_table, from_flat, is_derivation, matmul,
+                     matsub, nullspace, reference_feasible_set, reference_is_stratifiable, scaled,
                      semidirect_with_derivation)
 from propsuites import random_unimodular
 
@@ -323,7 +324,8 @@ def _assert_same_verdict(L):
 _REFERENCE_CASES = {name: (lambda name=name: catalog.get(name).algebra)
                     for name, _ in catalog.list_entries()}
 _REFERENCE_CASES.update({"abelian(1)": lambda: abelian(1), "filiform4": _filiform4,
-                         "l5": _l5_nonstratifiable})
+                         "l5": _l5_nonstratifiable, "N7": lambda: parse(N7_TEXT).algebra,
+                         "G7": lambda: parse(G7_TEXT).algebra})
 
 
 @pytest.mark.parametrize("name", list(_REFERENCE_CASES))
@@ -344,7 +346,7 @@ def test_is_stratifiable_matches_full_affine_reference_conjugated(name):
 
 def test_is_stratifiable_independent_of_der_call_order(example2):
     def fresh():
-        return LieAlgebra(example2.dim, example2.labels, example2.table)
+        return LieAlgebra(example2.dim, example2.table)
 
     der_first = fresh()
     der = der_first.derivation_algebra()

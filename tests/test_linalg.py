@@ -9,6 +9,7 @@ from carnot.linalg import (
     Matrix,
     RowReducer,
     Subspace,
+    _lean,
     conjugate,
     invert,
     quotient_basis,
@@ -204,17 +205,6 @@ def test_quotient_basis():
     assert ext == [((1, F(1)),)]
     with pytest.raises(ValueError):
         quotient_basis(span([unit_vec(2, 1)], 2), sub)
-
-
-def test_quotient_functionals_cut_out_subspace():
-    s = span([[1, 2, 0], [0, 0, 1]], 3)
-    fns = s.quotient_functionals()
-    assert len(fns) == 1
-    assert fns == [{1: F(1), 0: F(-2)}]
-    for row in s.basis_rows():
-        assert all(sum(c * row[k] for k, c in f.items()) == 0 for f in fns)
-    v = (F(0), F(1), F(0))  # not in s
-    assert any(sum(c * v[k] for k, c in f.items()) != 0 for f in fns)
 
 
 def _dense_rref_oracle(rows, cols):
@@ -465,6 +455,15 @@ def test_residual_in_either_lead_order():
             assert all(x and p not in echelon for p, x in res.items())
             assert sub.contains({c: v.get(c, 0) - res.get(c, 0) for c in range(width)})
             assert (not res) == sub.contains(v)
+            # the lean format: integral row values as int, and an integral
+            # vector with integral rows stays int
+            lean = {p: tuple((c, _lean(x)) for c, x in row) for p, row in echelon.items()}
+            assert residual({c: _lean(x) for c, x in v.items()}, lean) == res
+            w = {c: x.numerator for c, x in v.items()}
+            lean_res = residual(w, lean)
+            assert lean_res == residual(w, echelon)
+            if all(type(x) is int for row in lean.values() for _, x in row):
+                assert all(type(x) is int for x in lean_res.values())
 
 
 # -- row order and the integral fast path of RowReducer._to_sparse_int ----------

@@ -1025,6 +1025,10 @@ def read_off_towers():
         entry = catalog.get(name)
         out[name] = prolong(entry.algebra, strat_of(entry), cap)
     out["free(2,3)"] = prolong(*free_2_3(), 6)
+    # [e1, e2] = 1/2 e3: stored basis rows with non-integral entries
+    half = parse("dim 3\nlayers 1..2; 3..3\nbracket 1 2 = 1/2*3\n")
+    out["half_heisenberg"] = prolong(half.algebra, verify_stratification(
+        half.algebra, coordinate_layers(3, half.layer_ranges)), 3)
     return out
 
 
@@ -1036,7 +1040,7 @@ def _with_entry(el, pos, value):
 
 
 @pytest.mark.parametrize("name", ["heisenberg_3", "free_step2_rank3",
-                                  "heisenberg_2n1(2)", "free(2,3)"])
+                                  "heisenberg_2n1(2)", "free(2,3)", "half_heisenberg"])
 def test_coordinates_read_off_matches_affine_reference(read_off_towers, name):
     result = read_off_towers[name]
     rng = random.Random(8)
