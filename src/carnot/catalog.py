@@ -1,5 +1,5 @@
-"""Built-in algebras: the rigid 16/17-dimensional examples, the deformed
-non-stratifiable algebra, and classical controls.
+"""Built-in algebras: rigid examples of dimensions 16, 17 and 7, deformed
+non-stratifiable algebras of dimensions 16 and 7, and classical controls.
 
 The fixed tables are stored as data files in the CLI text format (one
 bracket per line) so they can be reviewed line by line; parameterized
@@ -76,6 +76,16 @@ _FIXED: dict[str, tuple[str, ExpectedFacts, str]] = {
         ExpectedFacts(step=2, layer_dims=(3, 3), stratifiable=True),
         "free 2-step nilpotent algebra on 3 generators",
     ),
+    "ultrarigid_7": (
+        "ultrarigid_7.alg",
+        ExpectedFacts(step=3, layer_dims=(3, 2, 2), g0_dim=1, ultrarigid=True, stratifiable=True),
+        "7-dimensional step-3 algebra of type (3,2,2) with g_0 = span(D) and g_1 = 0",
+    ),
+    "deformed_7": (
+        "deformed_7.alg",
+        ExpectedFacts(step=5, layer_dims=None, stratifiable=False),
+        "step-5 deformation of ultrarigid_7 with gr = ultrarigid_7; not stratifiable",
+    ),
 }
 
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
@@ -132,8 +142,8 @@ def get(name: str) -> CatalogEntry:
     """Look up a catalog entry by name.
 
     Fixed names: example1_16, example2_17, deformed_h_16, heisenberg_3,
-    free_step2_rank3.  Parameterized: abelian(n) for n >= 1 and
-    heisenberg_2n1(n) for n >= 1, up to the dimension ceiling
+    free_step2_rank3, ultrarigid_7, deformed_7.  Parameterized: abelian(n)
+    and heisenberg_2n1(n) for n >= 1, up to the dimension ceiling
     ``algfile.MAX_DIM``.
     """
     if name in _FIXED:
@@ -150,14 +160,6 @@ def get(name: str) -> CatalogEntry:
 def list_entries() -> list[tuple[str, str]]:
     """Deterministically ordered (name, description) pairs; every listed
     name round-trips through :func:`get`."""
-    names = [
-        "example1_16",
-        "example2_17",
-        "deformed_h_16",
-        "heisenberg_3",
-        "heisenberg_2n1(2)",
-        "abelian(2)",
-        "abelian(3)",
-        "free_step2_rank3",
-    ]
+    names = ["example1_16", "example2_17", "deformed_h_16", "heisenberg_3", "heisenberg_2n1(2)",
+             "abelian(2)", "abelian(3)", "free_step2_rank3", "ultrarigid_7", "deformed_7"]
     return [(name, get(name).provenance) for name in names]

@@ -22,20 +22,22 @@ Storage is sparse from the kernel on: each g_k basis vector is a
 ``HomElement`` holding the nonzero entries of its flattening plus its
 block shapes: a row of the canonical reduced row echelon basis that
 ``linalg.solution_space`` returns, taken as it is.  No dense block is
-built.  So membership is a pivot read-off plus an exact residual check,
-which a result skips only for its own stored basis vectors, indexed by
-``id()`` and matched by ``is``: they are unit vectors in g_k by
-construction.  The bracket is a table of structure constants, the
+built.  Each basis vector is also kept once as a scaled integer row.
+Membership is a pivot read-off plus a fraction-free reduction against
+those rows, which a result skips only for its own stored basis vectors,
+indexed by ``id()`` and matched by ``is``: they are unit vectors in g_k
+by construction.  The bracket is a table of structure constants, the
 coordinates of [b^k_i, b^m_j] in the stored basis of g_{k+m}, filled on
 first use from [u, v](X) = [u, [v, X]] - [v, [u, X]] with inner brackets
 of nonnegative degree read from entries of lower total degree, each
 checked to lie in the computed component.  The bracket is antisymmetric,
 so each unordered pair of basis vectors is computed once and its mirror
-stored as the exact negation.
+stored as the exact negation.  A bracket's value sum_q c_q b_q is summed
+over the integer rows in ``int``, over one common denominator.
 
-The private indexes (element images, basis rows, the bracket table) hold
-integral values as ``int`` (``linalg._lean``); every public value
-(``HomElement.entries``, coordinates, ``hom0_to_endo``) is ``Fraction``.
+The element images and the bracket table hold integral values as ``int``
+(``linalg._lean``); every public value (``HomElement.entries``,
+coordinates, ``hom0_to_endo``) is ``Fraction``.
 
 Everything is computed in an adapted basis in which each layer is a
 coordinate block; results living in the original endomorphism space are
@@ -48,6 +50,7 @@ from bisect import bisect_right
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .grading import Stratification
@@ -58,10 +61,10 @@ from .linalg import (
     Subspace,
     Vec,
     _dense_vec,
+    _eliminate,
     _lean,
     conjugate,
     rat,
-    residual,
     solution_space,
     # not called here (coordinates are read off at pivots), but the
     # benchmark self-test bench/selftest.py checks that its tracer wraps
@@ -185,7 +188,7 @@ class HomElement(Record):
 def _add_scaled(acc: dict[int, Fraction], c, pairs) -> dict[int, Fraction]:
     """acc += c * v for the sparse vector v given by (index, value) pairs."""
     for q, x in pairs:
-        acc[q] = acc.get(q, 0) + c * x
+        acc[q] = acc[q] + c * x if q in acc else c * x
     return acc
 
 
@@ -307,8 +310,8 @@ class ProlongationResult(Record):
     ``bracket`` reads a table of basis structure constants, each unordered
     pair computed once and the other order stored as its exact negation, and
     ``coordinates_of`` reads, per degree, the block shapes, the pivot
-    columns, the basis rows with integral values as ``int`` and the index
-    of each stored basis vector by ``id()``.  Both take this result's own
+    columns, one scaled integer row per basis vector and the index of each
+    stored basis vector by ``id()``.  Both take this result's own
     basis vectors, matched by ``is``, as unit coordinates with no read-off;
     any other input, an equal copy too, is read off and not cached.  The
     caches are filled lazily and kept in the instance ``__dict__``, outside
@@ -346,10 +349,10 @@ class ProlongationResult(Record):
 
     def _degree(self, t: int) -> tuple:
         """The block shapes of g_t, the pivot columns of its stored basis,
-        the basis as reduced echelon rows ``{pivot: row}`` of :func:`_lean`
-        values for :func:`linalg.residual`, and the index i of each stored
-        vector keyed by its ``id()``, cached per degree.  ``prolong`` stores
-        each basis in canonical RREF: vector i is 1 at its pivot column (its
+        the basis as scaled integer rows ``{pivot: (d, d * b)}`` with d the
+        lcm of the denominators of b, and the index i of each stored vector
+        keyed by its ``id()``, cached per degree.  ``prolong`` stores each
+        basis in canonical RREF: vector i is 1 at its pivot column (its
         first nonzero) and every other basis vector is 0 there, which is
         checked once per degree."""
         index = self._degrees.get(t)
@@ -361,7 +364,10 @@ class ProlongationResult(Record):
                     b.entries[0][1] != 1 or sum(c in pset for c, _ in b.entries) != 1
                     for b in basis):
                 raise ValueError(f"stored basis of g_{t} is not in canonical form")
-            rows = {p: tuple((c, _lean(x)) for c, x in b.entries) for p, b in zip(pivots, basis)}
+            rows = {}
+            for p, b in zip(pivots, basis):
+                d = lcm(*[x.denominator for _, x in b.entries])
+                rows[p] = (d, {c: x.numerator * (d // x.denominator) for c, x in b.entries})
             index = self._degrees[t] = (_block_shapes(self.frame, t, self.component_dim),
                                         pivots, rows, {id(b): i for i, b in enumerate(basis)})
         return index
@@ -369,10 +375,15 @@ class ProlongationResult(Record):
     def _read_off(self, t: int, values: Mapping[int, Fraction]) -> tuple:
         """The :func:`_lean` coordinates in the stored basis of g_t of the
         element with flat entries ``values``, or MembershipError: they are
-        its entries at the pivot columns, and it is a member exactly when
-        its :func:`linalg.residual` against the basis rows is empty."""
+        its entries at the pivot columns.  Scaled to integers by one common
+        denominator, it is a member exactly when the fraction-free
+        reduction (``linalg._eliminate``) at its pivots ends empty."""
         _, pivots, rows, _ = self._degree(t)
-        if residual(values, rows):
+        den = lcm(*[x.denominator for x in values.values()])
+        vec = {c: x.numerator * (den // x.denominator) for c, x in values.items() if x}
+        for p in [p for p in vec if p in rows]:
+            vec = _eliminate(vec, rows[p][1], p)
+        if vec:
             if not pivots:
                 raise MembershipError(f"nonzero element of vanishing component g_{t}")
             raise MembershipError(f"element does not lie in the computed g_{t}")
@@ -389,7 +400,7 @@ class ProlongationResult(Record):
             return ((i, 1),)
         if el.shapes != shapes:
             raise ValueError(f"element blocks do not have the shapes of g_{el.degree}")
-        coords = self._read_off(el.degree, {c: _lean(x) for c, x in el.entries})
+        coords = self._read_off(el.degree, dict(el.entries))
         return tuple((i, x) for i, x in enumerate(coords) if x)
 
     def coordinates_of(self, el: HomElement) -> Vec:
@@ -457,7 +468,9 @@ class ProlongationResult(Record):
 
     def bracket(self, u: HomElement, v: HomElement) -> HomElement:
         """The prolongation bracket of nonnegative u, v: the bilinear
-        combination of table entries given by their coordinates.  Raises
+        combination c of table entries given by their coordinates, as
+        sum_q c_q (d_q b_q) / d_q in ``int`` over one common denominator,
+        or the stored b_q itself when c is one unit at q.  Raises
         MembershipError when u or v lies outside its computed component
         and ComponentNotComputedError past the cap."""
         if u.degree < 0 or v.degree < 0:
@@ -468,11 +481,16 @@ class ProlongationResult(Record):
         acc: dict[int, Fraction] = {}
         for i, x in a:
             _add_scaled(acc, x, self._bracket_coords(k, i, m, b).items())
-        values: dict[int, Fraction] = {}
-        for q, c in acc.items():
-            if c:
-                _add_scaled(values, c, rows[pivots[q]])
-        return HomElement.from_nonzeros(k + m, shapes, values)
+        terms = [(q, c) for q, c in acc.items() if c]
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self.bases[k + m][terms[0][0]]
+        den = lcm(*[rows[pivots[q]][0] * c.denominator for q, c in terms])
+        values: dict[int, int] = {}
+        for q, c in terms:
+            d, row = rows[pivots[q]]
+            _add_scaled(values, c.numerator * (den // (d * c.denominator)), row.items())
+        return HomElement(k + m, shapes, tuple(sorted(
+            (col, Fraction(x, den) if den != 1 else Fraction(x)) for col, x in values.items() if x)))
 
 
 def prolong(L: LieAlgebra, s: Stratification, k_max: int = 6) -> ProlongationResult:

@@ -5,6 +5,7 @@ its generalised eigenspaces by repeated squaring, the elimination step
 without the unit-lead fast path, and the tower's Leibniz rows assembled
 over every generator."""
 
+import pkgutil
 from fractions import Fraction
 from itertools import accumulate, combinations
 
@@ -397,23 +398,7 @@ def random_two_step(m: int, k: int, rng) -> LieAlgebra:
 # N7 without layers, with e7 added to [e1,e4] and two new brackets into
 # e7; each change adds a vector of weight below its bracket's weight, so
 # gr(G7) from the first layer is N7, while G7 has step 5 and is not
-# stratifiable.
-N7_TEXT = """dim 7
-layers 1..3; 4..5; 6..7
-bracket 1 2 = 4
-bracket 1 3 = 5
-bracket 1 4 = 7
-bracket 1 5 = -1*6
-bracket 2 4 = 6
-bracket 3 5 = -1*7
-"""
-G7_TEXT = """dim 7
-bracket 1 2 = 4
-bracket 1 3 = 5
-bracket 1 4 = 5 + 7
-bracket 1 5 = -1*6
-bracket 2 4 = 6
-bracket 2 6 = -1*7
-bracket 3 5 = -1*7
-bracket 4 5 = -1*7
-"""
+# stratifiable.  The texts are the catalog's data files, ultrarigid_7 and
+# deformed_7.
+N7_TEXT = pkgutil.get_data("carnot", "data/ultrarigid_7.alg").decode("utf-8")
+G7_TEXT = pkgutil.get_data("carnot", "data/deformed_7.alg").decode("utf-8")

@@ -4,7 +4,8 @@ import pytest
 
 import helpers
 from carnot import algfile, catalog
-from carnot.grading import coordinate_layers, verify_stratification
+from carnot.grading import coordinate_layers, is_stratifiable, verify_stratification
+from carnot.tanaka import ultrarigidity_check
 from carnot.catalog import UnknownEntryError
 
 F = Fraction
@@ -17,6 +18,7 @@ def test_list_is_deterministic_and_round_trips():
     assert [n for n, _ in first] == [
         "example1_16", "example2_17", "deformed_h_16", "heisenberg_3",
         "heisenberg_2n1(2)", "abelian(2)", "abelian(3)", "free_step2_rank3",
+        "ultrarigid_7", "deformed_7",
     ]
     for name, _ in first:
         assert catalog.get(name).name == name
@@ -38,6 +40,19 @@ def test_declared_layers_validate_and_step_matches_series(name):
         strat = verify_stratification(
             entry.algebra, coordinate_layers(entry.algebra.dim, entry.declared_layers))
         assert strat.layer_dims == entry.expected.layer_dims
+
+
+@pytest.mark.parametrize("name", [n for n, _ in catalog.list_entries()])
+def test_expected_facts_that_are_asserted_hold(name):
+    entry, facts = catalog.get(name), catalog.get(name).expected
+    if facts.stratifiable is not None:
+        assert is_stratifiable(entry.algebra).stratifiable is facts.stratifiable
+    if facts.g0_dim is not None or facts.ultrarigid is not None:
+        strat = verify_stratification(
+            entry.algebra, coordinate_layers(entry.algebra.dim, entry.declared_layers))
+        verdict = ultrarigidity_check(entry.algebra, strat)
+        assert facts.g0_dim in (None, verdict.g0_dim)
+        assert facts.ultrarigid in (None, verdict.infinitesimally_ultrarigid)
 
 
 def test_example1_has_exactly_26_brackets():

@@ -129,7 +129,7 @@ def test_rigid_and_report_share_one_verdict(capsys):
             assert out[0] == f"source: catalog:{name}"
             assert out[1:] == _lines_with(report_out, keys), (command, name)
             compared += 1
-        assert compared == 7  # every entry but deformed_h_16
+        assert compared == 8  # every entry but deformed_h_16 and deformed_7
     main(["rigid", "abelian(2)"])
     assert "g1_trivial: none" in capsys.readouterr().out.splitlines()
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -925,6 +925,57 @@ def test_stored_basis_of_another_tower_gets_no_trust(name, other, monkeypatch):
                     assert _outcome(result.bracket, v, w) == _outcome(result.bracket, v, rebuilt(w))
     # g_0 is the same for both algebras; most of g_1..g_3 is not
     assert rejected > 0
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "half_heisenberg_3"])
+def test_integer_assembly_is_exact_in_lowest_terms(name):
+    # each stored vector is kept once as an integer row (d, d * b); a
+    # bracket is assembled in int over one common denominator, and a single
+    # unit coordinate returns the stored vector itself
+    result = identity_towers()[name]
+    assert any(d != 1 for t in range(4) for d, _ in result._degree(t)[2].values())
+    memo, units = {}, 0
+    for k in range(4):
+        for m in range(4 - k):
+            for u in result.bases[k]:
+                for v in result.bases[m]:
+                    got = result.bracket(u, v)
+                    assert got.flatten() == ref_bracket(result, u, v, memo).flatten()
+                    assert all(type(x) is F and x.denominator > 0
+                               and gcd(x.numerator, x.denominator) == 1 for _, x in got.entries)
+                    coords = [x for x in result.coordinates_of(got) if x]
+                    if coords == [1]:
+                        q = result.coordinates_of(got).index(1)
+                        assert got is result.bases[k + m][q]
+                        units += 1
+                    else:
+                        assert all(got is not w for w in result.bases[k + m])
+    assert units > 0
+
+
+@pytest.mark.parametrize("name", ["heisenberg_3", "half_heisenberg_3"])
+def test_half_at_a_non_pivot_column_is_not_a_member(name):
+    # the fraction-free reduction keeps the membership check and its message
+    result = identity_towers()[name]
+    for t in range(4):
+        shapes, pivots = result._degree(t)[:2]
+        width = sum(r * c for r, c in shapes)
+        free = [c for c in range(width) if c not in pivots]
+        for i, b in enumerate(result.bases[t]):
+            values = dict(b.entries)
+            c = free[i % len(free)]
+            values[c] = values.get(c, 0) + F(1, 2)
+            bumped = HomElement.from_nonzeros(t, shapes, values)
+            message = f"^element does not lie in the computed g_{t}$"
+            with pytest.raises(MembershipError, match=message):
+                result.coordinates_of(bumped)
+            with pytest.raises(MembershipError, match=message):
+                result.bracket(bumped, result.bases[0][0])
+    ex1 = catalog.get("example1_16")
+    finite = prolong(ex1.algebra, strat_of(ex1), 1)
+    assert finite.dims == (1, 0)
+    with pytest.raises(MembershipError, match="^nonzero element of vanishing component g_1$"):
+        finite.coordinates_of(HomElement.from_nonzeros(1, finite._degree(1)[0], {0: F(1, 2)}))
 
 
 def _public_scalars(L):
