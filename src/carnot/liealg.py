@@ -62,26 +62,30 @@ def _leibniz_system(ad, n: int, cols: Callable[[int], Sequence[int]],
 
     The caller gives the layout of the unknowns of u: ``cols(c)`` lists
     the columns of u(e_c), one per target coordinate, and ``terms(a, b)``
-    yields ``(q, col, x)``, each (q, col) once: unknown ``col`` times ``x``
-    is a term of coordinate q of [e_b, u(e_a)].  The row is u([e_a, e_b])
-    followed by ``terms(a, b)`` minus ``terms(b, a)`` (which never share
-    a column) in ascending columns."""
+    lists ``(q, col, x)``, x != 0, each (q, col) once: unknown ``col`` times
+    ``x`` is a term of coordinate q of [e_b, u(e_a)].  The row is, in this
+    insertion order, u([e_a, e_b]) and then ``terms(a, b)`` minus
+    ``terms(b, a)`` (which never share a column) in ascending columns.  When
+    [e_a, e_b] = 0 those terms are the row, taken with no merge and no zero
+    filter; otherwise a term may cancel a column of u([e_a, e_b])."""
     for a in range(n):
         ad_a = ad[a]
         for b in range(a + 1, n):
-            cab = [(cols(l), c) for l, c in sorted(ad_a.get(b, {}).items())]
             parts: dict[int, dict[int, Fraction]] = {}
             for q, col, x in terms(a, b):
                 parts.setdefault(q, {})[col] = x
             for q, col, x in terms(b, a):
                 parts.setdefault(q, {})[col] = -x
+            if b not in ad_a:
+                yield from (dict(sorted(parts[q].items())) for q in sorted(parts))
+                continue
+            cab = [(cols(l), c) for l, c in sorted(ad_a[b].items())]
             # every coordinate of [e_a, e_b] is in one degree, so all of
             # its unknown columns have the same number of targets
-            for q in (range(len(cab[0][0])) if cab else sorted(parts)):
+            for q in range(len(cab[0][0])):
                 row: dict[int, Fraction] = {cl[q]: c for cl, c in cab}
-                part = parts.get(q, {})
-                for col in sorted(part):
-                    row[col] = row[col] + part[col] if col in row else part[col]
+                for col, x in sorted(parts.get(q, {}).items()):
+                    row[col] = row[col] + x if col in row else x
                 row = {col: v for col, v in row.items() if v}
                 if row:
                     yield row
@@ -269,11 +273,9 @@ class LieAlgebra(Record):
         n = self.dim
         ad = self._ad
 
-        def terms(a: int, b: int):
+        def terms(a: int, b: int) -> list:
             # [e_b, u(e_a)] = sum_l u[l][a] [e_b, e_l]
-            for l, coords in ad[b].items():
-                for k, c in coords.items():
-                    yield k, l * n + a, c
+            return [(k, l * n + a, c) for l, coords in ad[b].items() for k, c in coords.items()]
 
         return _leibniz_system(ad, n, lambda c: range(c, n * n, n), terms)
 

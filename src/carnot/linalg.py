@@ -228,11 +228,14 @@ class RowReducer:
 
     def _to_sparse_int(self, row) -> dict[int, int]:
         """The nonzero entries of a row, coerced once and scaled to integers."""
-        pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
         width = self.width
+        dense = not (type(row) is dict or isinstance(row, Mapping))
+        if dense and len(row) != width:
+            raise ValueError(f"column {width} out of range 0..{width - 1}" if len(row) > width
+                             else f"dense row of length {len(row)} in width {width}")
         items = {}
         denom_lcm = 1
-        for c, v in pairs:
+        for c, v in (enumerate(row) if dense else row.items()):
             if v and type(v) is not int:
                 v = v if isinstance(v, Fraction) else rat(v)
                 if v.denominator == 1:
@@ -309,15 +312,15 @@ class RowReducer:
     def sparse_nullspace(self) -> list[dict[int, Fraction]]:
         """A basis of the solution space of (rows)·x = 0, read off the
         sparse reduced rows: one ``{column: value}`` per free column ``f``
-        in ascending order, 1 at ``f`` and ``-r_p[f] / r_p[p]`` at each
-        pivot ``p``.  In a ``reverse`` reducer every such ``p`` exceeds
-        ``f``, so the vectors are the canonical RREF basis."""
+        in ascending order, 1 at ``f`` and then ``-r_p[f] / r_p[p]`` at each
+        pivot ``p`` by ascending ``p``.  In a ``reverse`` reducer every such
+        ``p`` exceeds ``f``: the canonical RREF basis, in ascending columns."""
         solutions = {f: {f: _ONE} for f in range(self.width) if f not in self._pivots}
         for p, r in self._reduced_rows().items():
             lead = r[p]
             for c, v in r.items():
                 if c != p:
-                    solutions[c][p] = Fraction(-v, lead)
+                    solutions[c][p] = Fraction(-v) if lead == 1 else Fraction(-v, lead)
         return list(solutions.values())
 
     def nullspace_rows(self) -> list[Vec]:
@@ -463,7 +466,8 @@ def solution_space(rows: Iterable, width: int) -> Subspace:
     pivots its solution touches, so the free-column solutions of
     :meth:`RowReducer.sparse_nullspace` have a leading 1 in their own free
     column and zeros in every other one: they already are the canonical
-    RREF basis (which is unique), and no second reduction is needed.
+    RREF basis (which is unique), with ascending columns, so neither a
+    second reduction nor a sort is needed.
 
     Rows are fed shortest first (a stable sort: equal lengths keep their
     order).  The canonical basis depends only on their span, so the order
@@ -472,7 +476,7 @@ def solution_space(rows: Iterable, width: int) -> Subspace:
     red = RowReducer(width, reverse=True)
     for row in sorted(rows, key=len):
         red.add(row)
-    return Subspace(width, tuple(tuple(sorted(sol.items())) for sol in red.sparse_nullspace()))
+    return Subspace(width, tuple(tuple(sol.items()) for sol in red.sparse_nullspace()))
 
 
 class AffineSolution(NamedTuple):

@@ -186,7 +186,11 @@ class HomElement(Record):
 
 
 def _add_scaled(acc: dict[int, Fraction], c, pairs) -> dict[int, Fraction]:
-    """acc += c * v for the sparse vector v given by (index, value) pairs."""
+    """acc += c * v for the sparse vector v given by (index, value) pairs, x itself when c == 1."""
+    if c == 1:
+        for q, x in pairs:
+            acc[q] = acc[q] + x if q in acc else x
+        return acc
     for q, x in pairs:
         acc[q] = acc[q] + c * x if q in acc else c * x
     return acc
@@ -200,21 +204,21 @@ def _block_shapes(frame: AdaptedFrame, k: int,
 
 
 def _target_index(frame: AdaptedFrame, t: int,
-                  bases: Sequence[Sequence[HomElement]]) -> dict[int, list[tuple[int, list]]]:
+                  bases: Sequence[Sequence[HomElement]]) -> dict[int, list[tuple[int, int, Fraction]]]:
     """The nonzero actions of the adapted basis on the degree-t space:
-    ``b`` maps to the ascending list of ``(r, [(q, value), ...])`` over
-    the generators w_r with [e_b, w_r] != 0, listing the nonzero
-    coordinates of [e_b, w_r] (degree t - weight(b)).
+    ``b`` maps to the flat list of ``(r, q, value)`` over the generators
+    w_r with [e_b, w_r] != 0, in ascending r, and the nonzero coordinates
+    q of [e_b, w_r] (degree t - weight(b)).
 
     The generators are the layer -t basis vectors e_g when t < 0, read off
     ``frame.graded._ad``, and the stored basis ``bases[t]`` of g_t when
     t >= 0, where [e_b, w] = -w(e_b) is read off ``HomElement._images``
     in one pass over the basis."""
-    index: dict[int, list[tuple[int, list]]] = {}
+    index: dict[int, list[tuple[int, int, Fraction]]] = {}
     if t >= 0:
         for r, w in enumerate(bases[t]):
             for b, image in w._images.items():
-                index.setdefault(b, []).append((r, [(q, -x) for q, x in image.items()]))
+                index.setdefault(b, []).extend([(r, q, -x) for q, x in image.items()])
         return index
     lo, hi = frame.offsets[-t - 1], frame.offsets[-t]
     for b, ad_b in enumerate(frame.graded._ad):
@@ -223,13 +227,13 @@ def _target_index(frame: AdaptedFrame, t: int,
             # [e_b, e_g] lies in layer weight(b) - t (the frame's table is
             # graded), which exists because the bracket is nonzero
             off = frame.offsets[frame.weights[b] - t - 1]
-            index[b] = [(g - lo, [(q - off, x) for q, x in ad_b[g].items()]) for g in gs]
+            index[b] = [(g - lo, q - off, x) for g in gs for q, x in ad_b[g].items()]
     return index
 
 
 def _solve_component(frame: AdaptedFrame, k: int,
                      bases: Sequence[Sequence[HomElement]],
-                     dims: Sequence[int]) -> list[HomElement]:
+                     dims: Sequence[int], index: Optional[dict] = None) -> list[HomElement]:
     """Nullspace of the degree-k Leibniz system, as HomElements in
     canonical form: the sparse rows of ``solution_space``.
 
@@ -237,8 +241,8 @@ def _solve_component(frame: AdaptedFrame, k: int,
     g_0..g_{k-1} (both empty for k = 0).  The term [e_b, u(e_a)] of a row
     is read from the :func:`_target_index` of degree k - weight(a) at b:
     only the generators w_r with [e_b, w_r] != 0, each at the unknown
-    ``start + r * step`` of the column range of u(e_a).
-    """
+    ``start + r * step`` of the column range of u(e_a).  ``index`` keeps
+    them across calls, with degree k - step - 1, read by no later k, dropped."""
     weights = frame.weights
 
     def target_dim(t: int) -> int:
@@ -255,19 +259,17 @@ def _solve_component(frame: AdaptedFrame, k: int,
         l = weights[a]
         return range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
 
-    index = {t: _target_index(frame, t, bases) for t in range(k - frame.step, k)}
+    index = {} if index is None else index
+    index.pop(k - frame.step - 1, None)
+    index.update({t: _target_index(frame, t, bases) for t in range(k - frame.step, k) if t not in index})
 
-    def terms(a: int, b: int):
+    def terms(a: int, b: int) -> list:
         # [e_b, u(e_a)] = sum_r u_r(e_a) [e_b, w_r], over the r with
         # [e_b, w_r] != 0 only; u_r(e_a) is unknown start + r * step
-        entries = index[k - weights[a]].get(b)
-        if entries:
-            col_a = cols(a)
-            start, step = col_a.start, col_a.step
-            for r, pairs in entries:
-                col = start + r * step
-                for q, x in pairs:
-                    yield q, col, x
+        if not (entries := index[k - weights[a]].get(b)):
+            return []
+        start, step = (col_a := cols(a)).start, col_a.step
+        return [(q, start + r * step, x) for r, q, x in entries]
 
     return [HomElement(k, shapes, row) for row in
             solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total).rows]
@@ -495,14 +497,16 @@ class ProlongationResult(Record):
 
 def prolong(L: LieAlgebra, s: Stratification, k_max: int = 6) -> ProlongationResult:
     """Compute g_0, g_1, ... up to degree ``k_max``, stopping early when
-    a component vanishes (all later components vanish too)."""
+    a component vanishes (all later components vanish too).  Each degree's
+    target index is built once, for the ``step`` degrees that read it."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     frame = AdaptedFrame.build(L, s)
     dims: list[int] = []
     bases: list[tuple[HomElement, ...]] = []
+    index: dict = {}
     for k in range(k_max + 1):
-        comps = _solve_component(frame, k, bases, dims)
+        comps = _solve_component(frame, k, bases, dims, index)
         dims.append(len(comps))
         bases.append(tuple(comps))
         if not comps:

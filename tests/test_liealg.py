@@ -160,6 +160,16 @@ def test_catalog_jacobi_and_leibniz_match_dense_reference(name):
     assert _ordered_rows(L.leibniz_rows()) == _ordered_rows(ref_leibniz_rows(L))
 
 
+def test_leibniz_rows_cancel_where_a_term_meets_the_bracket_column():
+    # the affine algebra [e_1, e_2] = e_2: in the q = 2 row of the pair
+    # (1, 2), the column of u([e_1, e_2]) = u(e_2) meets the term of
+    # [e_1, u(e_2)] and cancels, so the row keeps only u(e_1)'s column
+    L = LieAlgebra.from_brackets(2, {(0, 1): (0, 1)})
+    rows = _ordered_rows(L.leibniz_rows())
+    assert rows == _ordered_rows(ref_leibniz_rows(L)) == [[(1, 1)], [(0, -1)]]
+    assert L.derivation_algebra().basis_rows() == ((0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def test_sparse_bracket_matches_dense_reference(example1):
     rng = random.Random(17)
     for _ in range(10):

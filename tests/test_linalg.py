@@ -408,6 +408,25 @@ def test_solution_space_edges():
         solution_space([{1: 0.5}], 2)
 
 
+def test_dense_rows_of_the_wrong_length_are_rejected():
+    # a dense row has exactly ``width`` entries, as in Subspace.reduce_mod;
+    # a longer one is rejected even when its extra entries are zero
+    for row in ([1, 0, 0, 0], [0, 0, 0], [1], []):
+        red = RowReducer(2)
+        with pytest.raises(ValueError):
+            red.add(row)
+        assert red.rank == 0
+    with pytest.raises(ValueError, match="column 2 out of range 0..1"):
+        solution_space([[1, 0, 0]], 2)
+    with pytest.raises(ValueError, match="dense row of length 1 in width 2"):
+        solution_space([[1]], 2)
+    with pytest.raises(ValueError, match="dense row of length 2 in width 3"):
+        Subspace.from_rows([[1, 0, 0], [0, 1]], 3)
+    with pytest.raises(ValueError, match="length mismatch"):
+        Subspace.full(2).reduce_mod([1, 0, 0])
+    assert solution_space([[1, 0]], 2) == span([unit_vec(2, 1)], 2)
+
+
 def test_string_zero_entries_are_zero():
     # "0" is a truthy string: it must be coerced before the zero test, or
     # it is stored as a pivot with lead 0

@@ -16,6 +16,7 @@ from carnot.tanaka import (
     HomElement,
     MembershipError,
     ProlongationResult,
+    _add_scaled,
     _solve_component,
     degree_zero_derivations,
     hom0_to_endo,
@@ -306,14 +307,18 @@ def test_tower_system_sizes_heisenberg7(monkeypatch):
 
 
 @pytest.mark.parametrize("name, cap", [("heisenberg_2n1(2)", 3), ("example2_17", 1),
-                                       ("rational_heisenberg3", 3)])
+                                       ("rational_heisenberg3", 3), ("free(2,3)", 4),
+                                       ("ultrarigid_7", 3)])
 def test_tower_rows_match_every_generator_assembly(name, cap, monkeypatch):
     # the target index walks only the generators w_r with [e_b, w_r] != 0;
     # the rows equal, row for row and in order, those of the assembly that
-    # asks every generator
+    # asks every generator.  The step-3 towers read each kept index in
+    # three degrees
     if name == "rational_heisenberg3":
         L = rational_heisenberg3()
         s = is_stratifiable(L).derived_stratification
+    elif name == "free(2,3)":
+        L, s = free_2_3()
     else:
         entry = catalog.get(name)
         L, s = entry.algebra, strat_of(entry)
@@ -322,6 +327,39 @@ def test_tower_rows_match_every_generator_assembly(name, cap, monkeypatch):
         assert rows == reference_tower_rows(result.frame, k, result.bases[:k], result.dims[:k])
         assert width == sum(r * c for r, c in result._shapes(k))
     assert any(rows for _, rows in systems)
+
+
+def test_prolong_builds_each_target_index_once(monkeypatch):
+    # degree t is read by the step degrees t+1..t+step; prolong builds it
+    # once, with the stored basis of g_t, and drops it after degree t+step
+    import carnot.tanaka
+
+    built, kept = [], []
+    real, real_solve = carnot.tanaka._target_index, carnot.tanaka._solve_component
+
+    def counting(frame, t, bases):
+        built.append(t)
+        return real(frame, t, bases)
+
+    def solve(frame, k, bases, dims, index):
+        out = real_solve(frame, k, bases, dims, index)
+        kept.append(sorted(index))
+        return out
+
+    monkeypatch.setattr(carnot.tanaka, "_target_index", counting)
+    monkeypatch.setattr(carnot.tanaka, "_solve_component", solve)
+    result = prolong(*free_2_3(), 6)
+    assert result.dims == (4, 2, 1, 2, 0)
+    assert built == list(range(-3, 4))
+    assert kept == [list(range(k - 3, k)) for k in range(5)]
+
+
+def test_add_scaled_by_one_adds_the_values_themselves():
+    x, y = F(1, 3), F(-2, 5)
+    acc = _add_scaled({0: F(1)}, 1, [(0, y), (2, x)])
+    assert acc == {0: F(3, 5), 2: x} and acc[2] is x
+    assert _add_scaled({2: 1}, F(1), [(2, -1)]) == {2: 0}
+    assert _add_scaled({}, F(3, 2), [(1, 2), (4, x)]) == {1: 3, 4: F(1, 2)}
 
 
 def test_prolong_stores_canonical_bases():
