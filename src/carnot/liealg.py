@@ -7,7 +7,8 @@ construction and the Jacobi identity is the only thing left to check.
 Every reader of the table (brackets, Jacobi, Leibniz rows, bracket spans,
 series) goes through one sparse index with both orientations, built once
 per object, so work scales with the nonzero brackets rather than with
-``dim**3``, and the table itself costs no ``dim``-long vector.  The
+``dim**3``, and neither the table nor a Jacobi residual costs a
+``dim``-long vector: both are sparse rows.  The
 index holds integral values as ``int`` (``linalg._lean``).  Basis
 indices are 0-based internally and rendered ``e1..en``.
 
@@ -51,7 +52,8 @@ class SingularMatrixError(ValueError):
     pass
 
 
-JacobiDefect = tuple[int, int, int, Vec]
+# (i, j, k, residual), the residual a nonempty sparse row of ``Fraction`` values
+JacobiDefect = tuple[int, int, int, SparseRow]
 
 
 def _leibniz_system(ad, n: int, cols: Callable[[int], Sequence[int]],
@@ -226,13 +228,13 @@ class LieAlgebra(Record):
             self._triple_term(j, k, i, acc)
             self._triple_term(k, i, j, acc)
             if any(acc.values()):
-                out.append((i, j, k, _dense_vec(acc.items(), self.dim)))
+                out.append((i, j, k, tuple(sorted((c, Fraction(x)) for c, x in acc.items() if x))))
         return tuple(out)
 
     def jacobi_defect(self) -> list[JacobiDefect]:
         """All basis triples i < j < k where the Jacobi identity fails,
-        with their exact residual vectors, in sorted order.  Empty iff
-        this is a Lie algebra.  Computed once per object."""
+        with their exact residuals as sparse rows, in sorted order.  Empty
+        iff this is a Lie algebra.  Computed once per object."""
         return list(self._jacobi_defects)
 
     def lower_central_series(self) -> "SeriesReport":

@@ -19,9 +19,10 @@ subspaces is equality of those tuples; ``basis_rows()`` is the dense
 view for rendering.  ``Matrix`` is the dense format of maps and
 witnesses at the public boundary.  Basis vectors travel as sparse rows:
 one elimination of the rows ``[p_a | r_a]`` (:func:`_solve_basis`) gives
-the columns of ``P^-1`` for a basis change (``r_a = e_a``) and a map
-given on a basis in the original coordinates (:func:`conjugate`), with
-no dense inverse.
+the columns of ``P^-1`` for a basis change (``r_a = e_a``) and the
+sparse columns of a map given on a basis in the original coordinates
+(:func:`_conjugate_columns`, which :func:`conjugate` writes out densely),
+with no dense inverse.
 
 One coefficient rule: private sparse indexes (``LieAlgebra._ad``, basis
 change columns, the tower's rows and bracket table) hold integral values
@@ -36,7 +37,9 @@ subtracted from the working row in place; any other goes through
 ``_eliminate``, which builds a new content-reduced row.  The content is
 divided out again only when a row is stored.  Every canonical basis
 (``Subspace.from_rows``, ``solution_space``) is read off its
-back-substituted rows, with no dense pass and no second reduction.
+back-substituted rows, with no dense pass and no second reduction, and
+membership (``Subspace.contains``, ``quotient_basis``) is read off its
+rank: there is no second reducer.
 ``solution_space``, the one entry for ``Der`` and every g_k, feeds its
 rows shortest first (Markowitz's sparsest-row rule): rows that reduce to
 zero and fill-in then cost less.  The canonical basis is unique, so the
@@ -368,23 +371,6 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], col: int,
     return out
 
 
-def residual(v: Mapping[int, Fraction], echelon: Mapping[int, SparseRow]) -> dict[int, Fraction]:
-    """The nonzero entries of ``v`` minus its canonical projection onto
-    the span of ``echelon`` (reduced rows by pivot, as from
-    :meth:`RowReducer.echelon`): v - sum_p v[p] row_p, which is zero at
-    every pivot, and empty iff ``v`` lies in the span.  The rows are zero
-    at each other's pivots, so only the rows at ``v``'s nonzero
-    coordinates are read, in any order.  A new entry starts from ``int``
-    0, so lean ``int`` vectors and rows stay in ``int`` arithmetic."""
-    out = dict(v)
-    for p, c in v.items():
-        row = echelon.get(p)
-        if row and c:
-            for col, x in row:
-                out[col] = out.get(col, 0) - c * x
-    return {col: x for col, x in out.items() if x}
-
-
 class Subspace(Record):
     """A linear subspace of Q^n, stored as its canonical RREF basis: one
     sparse row per pivot column, in ascending pivot order, each with 1 at
@@ -421,27 +407,14 @@ class Subspace(Record):
         """The canonical basis as dense vectors."""
         return tuple(_dense_vec(row, self.ambient_dim) for row in self.rows)
 
-    def _echelon(self) -> dict[int, SparseRow]:
-        return {row[0][0]: row for row in self.rows}
-
-    def reduce_mod(self, v) -> dict[int, Fraction]:
-        """The nonzero entries of the :func:`residual` of ``v``, a dense
-        vector or a ``{column: value}`` mapping; empty iff ``v`` lies in
-        the subspace."""
-        if not isinstance(v, Mapping):
-            if len(v) != self.ambient_dim:
-                raise ValueError("vector length mismatch")
-            v = dict(enumerate(v))
-        return residual({c: x for c, value in v.items() if (x := rat(value))}, self._echelon())
-
     def contains(self, v) -> bool:
-        return not self.reduce_mod(v)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        echelon = other._echelon()
-        return not any(residual(dict(row), echelon) for row in self.rows)
+        """Whether ``v``, a dense vector of length ``ambient_dim`` or a
+        ``{column: value}`` mapping, lies in the subspace: it adds no rank
+        to the basis rows (one :class:`RowReducer`)."""
+        red = RowReducer(self.ambient_dim)
+        for row in self.rows:
+            red.add(dict(row))
+        return not red.add(v)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -516,15 +489,19 @@ def quotient_basis(sub: Subspace, whole: Subspace) -> list[SparseRow]:
     """Rows of ``whole`` extending a basis of ``sub`` to one of ``whole``.
 
     Deterministic lowest-pivot preference: candidates are the canonical
-    basis rows of ``whole`` in order.  Raises when sub is not contained
-    in whole.
+    basis rows of ``whole`` in order.  Raises when the ambient dimensions
+    differ or sub is not contained in whole, that is when the rows of
+    both span more than ``whole``.
     """
-    if not sub.is_subspace_of(whole):
-        raise ValueError("sub is not contained in whole")
+    if sub.ambient_dim != whole.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
     red = RowReducer(sub.ambient_dim)
     for row in sub.rows:
         red.add(dict(row))
-    return [row for row in whole.rows if red.add(dict(row))]
+    out = [row for row in whole.rows if red.add(dict(row))]
+    if red.rank != whole.dim:
+        raise ValueError("sub is not contained in whole")
+    return out
 
 
 def _solve_basis(basis: Sequence[Iterable[tuple[int, Fraction]]],
@@ -547,17 +524,12 @@ def _solve_basis(basis: Sequence[Iterable[tuple[int, Fraction]]],
             for a in range(n)]
 
 
-def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction]]) -> Matrix:
-    """The map M with M p_a = sum_r images[a][r] p_r for the basis vectors
-    p_a given as sparse rows, in the coordinates the p_a are written in.
-    A key r = s n + r' (r' < n) stands for p_r' in the s-th copy of the
-    space, so several maps M_s, stacked as the rows of M, share one elimination.
-
-    With the p_a as the columns of P and A[r][a] = images[a][r], M = P A
-    P^-1 solves P^T M^T = A^T P^T: :func:`_solve_basis` of the rows
-    [p_a | M p_a] leaves [I | M^T], with no inverse and no matrix product."""
+def _conjugate_columns(basis: Sequence[SparseRow],
+                       images: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """The columns of the map M of :func:`conjugate`, as the sparse rows
+    of M^T that :func:`_solve_basis` leaves: row a holds the nonzero
+    entries ``{s n + r: _lean(M_s[r][a])}`` of column a of the stacked M."""
     n = len(basis)
-    e = max((r // n + 1 for image in images for r in image), default=1)
     rhs = []
     for image in images:
         row: dict[int, Fraction] = {}
@@ -569,7 +541,22 @@ def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction
     m_t = _solve_basis(basis, rhs)
     if m_t is None:
         raise ValueError("the basis vectors are not a basis")
-    return Matrix(e * n, n, tuple(zip(*(_dense_vec(row.items(), e * n) for row in m_t))))
+    return m_t
+
+
+def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction]]) -> Matrix:
+    """The map M with M p_a = sum_r images[a][r] p_r for the basis vectors
+    p_a given as sparse rows, in the coordinates the p_a are written in.
+    A key r = s n + r' (r' < n) stands for p_r' in the s-th copy of the
+    space, so several maps M_s, stacked as the rows of M, share one elimination.
+
+    With the p_a as the columns of P and A[r][a] = images[a][r], M = P A
+    P^-1 solves P^T M^T = A^T P^T: :func:`_solve_basis` of the rows
+    [p_a | M p_a] leaves [I | M^T], with no inverse and no matrix product."""
+    n = len(basis)
+    e = max((r // n + 1 for image in images for r in image), default=1)
+    return Matrix(e * n, n, tuple(zip(*(_dense_vec(row.items(), e * n)
+                                        for row in _conjugate_columns(basis, images)))))
 
 
 def invert(m: Matrix) -> Optional[Matrix]:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import grading, tanaka
 from .liealg import JacobiDefect, LieAlgebra, NotLieAlgebraError, SeriesReport
-from .linalg import Record, Vec
+from .linalg import Record, SparseRow, Vec
 
 DEFAULT_PROLONG_CAP = 4
 
@@ -32,14 +32,9 @@ def fmt_ints(xs: Optional[Sequence[int]]) -> str:
     return " ".join(str(x) for x in xs)
 
 
-def fmt_vec_labels(vec: Vec) -> str:
-    """Linear-combination rendering: ``e1 + 2*e3 + -1/2*e4``."""
-    terms = []
-    for idx, c in enumerate(vec, start=1):
-        if c == 0:
-            continue
-        terms.append(f"e{idx}" if c == 1 else f"{c}*e{idx}")
-    return " + ".join(terms) if terms else "0"
+def fmt_vec_labels(row: SparseRow) -> str:
+    """Linear-combination rendering of a sparse row: ``e1 + 2*e3 + -1/2*e4``."""
+    return " + ".join(f"e{c + 1}" if x == 1 else f"{x}*e{c + 1}" for c, x in row) or "0"
 
 
 def fmt_ranges(ranges: Sequence[tuple[int, int]]) -> str:
@@ -54,7 +49,8 @@ def _coordinate_ranges(s: grading.Stratification) -> Optional[list[tuple[int, in
     """Index ranges when every layer is a span of consecutive basis
     vectors (as for the catalog gradings); None otherwise."""
     ranges = grading.consecutive_ranges(s.layer_dims)
-    if list(s.layers) != grading.coordinate_layers(s.ambient_dim, ranges):
+    if any(v.rows != tuple(((i, 1),) for i in range(lo - 1, hi))
+           for v, (lo, hi) in zip(s.layers, ranges)):
         return None
     return ranges
 
@@ -65,7 +61,7 @@ def fmt_layers(s: grading.Stratification) -> str:
         return fmt_ranges(ranges)
     rendered = []
     for v in s.layers:
-        rendered.append("span(" + "; ".join(fmt_vec_labels(r) for r in v.basis_rows()) + ")")
+        rendered.append("span(" + "; ".join(fmt_vec_labels(r) for r in v.rows) + ")")
     return " | ".join(rendered)
 
 

@@ -41,7 +41,9 @@ coordinates, ``hom0_to_endo``) is ``Fraction``.
 
 Everything is computed in an adapted basis in which each layer is a
 coordinate block; results living in the original endomorphism space are
-conjugated back at the boundary (``linalg.conjugate``).
+conjugated back at the boundary: ``hom0_to_endo`` through
+``linalg.conjugate``, and ``endomorphism_span`` straight from the sparse
+columns of the same elimination, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .linalg import (
     Record,
     Subspace,
     Vec,
+    _conjugate_columns,
     _dense_vec,
     _eliminate,
     _lean,
@@ -233,7 +236,7 @@ def _target_index(frame: AdaptedFrame, t: int,
 
 def _solve_component(frame: AdaptedFrame, k: int,
                      bases: Sequence[Sequence[HomElement]],
-                     dims: Sequence[int], index: Optional[dict] = None) -> list[HomElement]:
+                     dims: Sequence[int], index: dict) -> list[HomElement]:
     """Nullspace of the degree-k Leibniz system, as HomElements in
     canonical form: the sparse rows of ``solution_space``.
 
@@ -241,8 +244,9 @@ def _solve_component(frame: AdaptedFrame, k: int,
     g_0..g_{k-1} (both empty for k = 0).  The term [e_b, u(e_a)] of a row
     is read from the :func:`_target_index` of degree k - weight(a) at b:
     only the generators w_r with [e_b, w_r] != 0, each at the unknown
-    ``start + r * step`` of the column range of u(e_a).  ``index`` keeps
-    them across calls, with degree k - step - 1, read by no later k, dropped."""
+    ``start + r * step`` of the column range of u(e_a).  ``index`` (the
+    caller's dict, empty at first) keeps them across calls, with degree
+    k - step - 1, read by no later k, dropped."""
     weights = frame.weights
 
     def target_dim(t: int) -> int:
@@ -259,7 +263,6 @@ def _solve_component(frame: AdaptedFrame, k: int,
         l = weights[a]
         return range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
 
-    index = {} if index is None else index
     index.pop(k - frame.step - 1, None)
     index.update({t: _target_index(frame, t, bases) for t in range(k - frame.step, k) if t not in index})
 
@@ -275,31 +278,39 @@ def _solve_component(frame: AdaptedFrame, k: int,
             solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total).rows]
 
 
-def _stacked_endo(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Matrix:
-    """Degree-0 elements as endomorphisms P A_s P^-1 in the original basis,
-    stacked as in :func:`conjugate`, where A_s is block diagonal in adapted
-    coordinates: one conjugate of the adapted vectors to their images."""
+def _endo_images(frame: AdaptedFrame, elements: Sequence[HomElement]) -> tuple[list, list]:
+    """The adapted basis vectors p_a, as sparse rows, and the images of
+    degree-0 elements under them, keyed for :func:`linalg.conjugate` with
+    element s in the s-th copy: each element is block diagonal in adapted
+    coordinates, so conjugating gives P A_s P^-1 in the original basis."""
     if any(el.degree != 0 for el in elements):
         raise ValueError("only degree-0 elements are endomorphisms")
     n, offsets, weights = frame.dim, frame.offsets, frame.weights
     basis = [p for v in frame.stratification.layers for p in v.rows]
-    return conjugate(basis, [{s * n + offsets[weights[a] - 1] + r: x
-                              for s, el in enumerate(elements) for r, x in el._image(a).items()}
-                             for a in range(n)])
+    return basis, [{s * n + offsets[weights[a] - 1] + r: x
+                     for s, el in enumerate(elements) for r, x in el._image(a).items()}
+                    for a in range(n)]
 
 
 def hom0_to_endo(frame: AdaptedFrame, el: HomElement) -> Matrix:
     """A degree-0 element as an endomorphism P A P^-1 in the original
     basis, where A is block diagonal in adapted coordinates."""
-    return _stacked_endo(frame, [el])
+    return conjugate(*_endo_images(frame, [el]))
 
 
 def endomorphism_span(frame: AdaptedFrame, elements: Sequence[HomElement]) -> Subspace:
     """The span of degree-0 elements (such as a stored basis of g_0) as
-    endomorphisms in the original basis, in canonical form, read off one
-    stacked conjugate (which leaves out trailing zero maps: they span 0)."""
-    flat, n2 = _stacked_endo(frame, elements).flatten(), frame.dim ** 2
-    return Subspace.from_rows([flat[i:i + n2] for i in range(0, len(flat), n2)], n2)
+    endomorphisms in the original basis, in canonical form (row-major
+    flattening, n^2 coordinates).  All are conjugated in one elimination,
+    whose sparse columns are read straight into one row per element: entry
+    s n + r of column a is entry (r, a) of element s, with no dense matrix."""
+    n = frame.dim
+    endos: list[dict[int, Fraction]] = [{} for _ in elements]
+    for a, column in enumerate(_conjugate_columns(*_endo_images(frame, elements))):
+        for key, x in column.items():
+            s, r = divmod(key, n)
+            endos[s][r * n + a] = x
+    return Subspace.from_rows(endos, n * n)
 
 
 class ProlongationResult(Record):

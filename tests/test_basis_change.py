@@ -2,9 +2,10 @@
 
 ``change_of_basis``, ``AdaptedFrame`` and ``nilpotentisation`` take the
 basis vectors as sparse rows and read ``P^-1`` off one elimination of
-``[p_a | e_a]``; ``grading_derivation``, ``dilation``, ``hom0_to_endo``
-and ``endomorphism_span`` go through ``linalg.conjugate``, the same
-elimination of ``[p_a | M p_a]``.  Neither builds a dense inverse.  The
+``[p_a | e_a]``; ``grading_derivation``, ``dilation`` and
+``hom0_to_endo`` go through ``linalg.conjugate``, the same elimination
+of ``[p_a | M p_a]``, and ``endomorphism_span`` reads the sparse columns
+of that elimination.  Neither builds a dense inverse.  The
 references below are the dense formulas of ``helpers``: ``P`` built
 from the basis vectors, ``invert`` plus ``apply`` and ``P F P^-1``.
 Arithmetic is exact and canonical forms are unique, so the two routes
@@ -166,6 +167,25 @@ def test_endomorphism_span_matches_dense_reference(name):
         zero = elements[0].scaled(0)
         assert endomorphism_span(frame, (zero,) + elements + (zero, zero)) == want, label
         assert endomorphism_span(frame, ()) == Subspace.zero(frame.dim ** 2), label
+
+
+def test_endomorphism_span_builds_no_matrix(monkeypatch):
+    # the span is read off the sparse columns of the elimination, with no
+    # dense Matrix on the way, stacked or per element
+    spans = [(label, prolong(L, s, 0)) for label, L, s in cases("heisenberg_2n1(2)")]
+    built = []
+    init = Matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    for label, result in spans:
+        assert endomorphism_span(result.frame, result.bases[0]).dim == result.dims[0], label
+    assert built == []
+    hom0_to_endo(spans[0][1].frame, spans[0][1].bases[0][0])
+    assert built == [(5, 5)]
 
 
 @pytest.mark.parametrize("name", ENTRIES + ["deformed_h_16"])

@@ -9,12 +9,10 @@ from carnot.linalg import (
     Matrix,
     RowReducer,
     Subspace,
-    _lean,
     conjugate,
     invert,
     quotient_basis,
     rat,
-    residual,
     solution_space,
     solve_affine,
     unit_vec,
@@ -203,8 +201,14 @@ def test_quotient_basis():
     assert quotient_basis(Subspace.zero(2), sub) == [((0, F(1)),)]
     ext = quotient_basis(sub, whole)
     assert ext == [((1, F(1)),)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not contained"):
         quotient_basis(span([unit_vec(2, 1)], 2), sub)
+    # a rank test alone would accept a whole of smaller ambient dimension
+    for a, b in ((Subspace.full(2), Subspace.full(3)), (Subspace.zero(3), sub)):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            quotient_basis(a, b)
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            quotient_basis(b, a)
 
 
 def _dense_rref_oracle(rows, cols):
@@ -409,8 +413,8 @@ def test_solution_space_edges():
 
 
 def test_dense_rows_of_the_wrong_length_are_rejected():
-    # a dense row has exactly ``width`` entries, as in Subspace.reduce_mod;
-    # a longer one is rejected even when its extra entries are zero
+    # a dense row has exactly ``width`` entries; a longer one is rejected
+    # even when its extra entries are zero
     for row in ([1, 0, 0, 0], [0, 0, 0], [1], []):
         red = RowReducer(2)
         with pytest.raises(ValueError):
@@ -422,8 +426,6 @@ def test_dense_rows_of_the_wrong_length_are_rejected():
         solution_space([[1]], 2)
     with pytest.raises(ValueError, match="dense row of length 2 in width 3"):
         Subspace.from_rows([[1, 0, 0], [0, 1]], 3)
-    with pytest.raises(ValueError, match="length mismatch"):
-        Subspace.full(2).reduce_mod([1, 0, 0])
     assert solution_space([[1, 0]], 2) == span([unit_vec(2, 1)], 2)
 
 
@@ -450,39 +452,38 @@ def test_subspace_rows_are_sparse_canonical():
     assert s.rows == (((1, F(1)), (2, F(2))), ((3, F(1)),))
     assert s.basis_rows() == ((0, 1, 2, 0), (0, 0, 0, 1))
     assert Subspace.full(2).rows == (((0, F(1)),), ((1, F(1)),))
-    assert s.reduce_mod([1, 1, 2, 7]) == {0: F(1)}
-    assert s.reduce_mod({1: 3, 2: 6}) == {}
-    with pytest.raises(ValueError, match="length mismatch"):
-        s.reduce_mod([1, 2])
 
 
-def test_residual_in_either_lead_order():
-    # the residual is v minus its projection on the pivots of a reduced
-    # echelon form: zero at every pivot, the same class modulo the span
+def test_contains_matches_dense_oracle():
+    # v lies in the span of the rows iff it adds no rank to them (rref) iff
+    # it is orthogonal to every solution of rows . x = 0 (nullspace)
     rng = random.Random(61)
     for _ in range(200):
         rows, fed, width = _random_system(rng)
-        v = {c: F(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(width) if rng.random() < 0.6}
         sub = Subspace.from_rows(fed, width)
+        rank = rref(M(rows, width))[1]
+        kernel = nullspace(M(rows, width)).basis_rows()
+        coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
+        inside = [sum((c * row[i] for c, row in zip(coeffs, rows)), F(0)) for i in range(width)]
+        outside = [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+                   for _ in range(width)]
+        for v in (inside, outside, [0] * width):
+            want = rref(M(rows + [v], width))[1] == rank
+            assert want == all(sum(a * b for a, b in zip(v, k)) == 0 for k in kernel)
+            assert sub.contains(v) == want
+            assert sub.contains({c: x for c, x in enumerate(v) if x}) == want
+        assert sub.contains(inside)
+        for bad in ([0] * (width + 1), [1] * (width - 1), {width: 1}):
+            with pytest.raises(ValueError):
+                sub.contains(bad)
+        # either lead order stores the canonical rows with 1 at the lead
         for reverse in (False, True):
             red = RowReducer(width, reverse=reverse)
             for row in fed:
                 red.add(row)
             echelon = red.echelon()
             assert all(row[-1 if reverse else 0] == (p, 1) for p, row in echelon.items())
-            res = residual(v, echelon)
-            assert all(x and p not in echelon for p, x in res.items())
-            assert sub.contains({c: v.get(c, 0) - res.get(c, 0) for c in range(width)})
-            assert (not res) == sub.contains(v)
-            # the lean format: integral row values as int, and an integral
-            # vector with integral rows stays int
-            lean = {p: tuple((c, _lean(x)) for c, x in row) for p, row in echelon.items()}
-            assert residual({c: _lean(x) for c, x in v.items()}, lean) == res
-            w = {c: x.numerator for c, x in v.items()}
-            lean_res = residual(w, lean)
-            assert lean_res == residual(w, echelon)
-            if all(type(x) is int for row in lean.values() for _, x in row):
-                assert all(type(x) is int for x in lean_res.values())
+            assert len(echelon) == rank
 
 
 # -- row order and the integral fast path of RowReducer._to_sparse_int ----------

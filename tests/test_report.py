@@ -33,8 +33,9 @@ def test_fmt_layers_general_spans():
 
 
 def test_fmt_vec_labels():
-    assert report.fmt_vec_labels((F(0), F(0), F(0))) == "0"
-    assert report.fmt_vec_labels((F(1), F(-1, 2), F(3))) == "e1 + -1/2*e2 + 3*e3"
+    assert report.fmt_vec_labels(()) == "0"
+    assert report.fmt_vec_labels(((0, F(1)), (1, F(-1, 2)), (2, F(3)))) == "e1 + -1/2*e2 + 3*e3"
+    assert report.fmt_vec_labels(((3, F(1)), (9, F(-1)))) == "e4 + -1*e10"
 
 
 def test_build_report_shows_violations_and_stops():

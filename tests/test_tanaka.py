@@ -422,10 +422,10 @@ def test_vanishing_is_monotone_when_computed_past_a_zero(ex1):
     # must also give zero (here: g1 = 0 forces g2 = 0)
     L, s = ex1
     frame = AdaptedFrame.build(L, s)
-    g0 = _solve_component(frame, 0, [], [])
-    g1 = _solve_component(frame, 1, [tuple(g0)], [len(g0)])
+    g0 = _solve_component(frame, 0, [], [], {})
+    g1 = _solve_component(frame, 1, [tuple(g0)], [len(g0)], {})
     assert g1 == []
-    g2 = _solve_component(frame, 2, [tuple(g0), ()], [len(g0), 0])
+    g2 = _solve_component(frame, 2, [tuple(g0), ()], [len(g0), 0], {})
     assert g2 == []
 
 
@@ -1069,7 +1069,7 @@ def test_jacobi_residuals_are_fractions(coeff):
     broken = LieAlgebra.from_brackets(3, {(0, 1): (0, 0, coeff), (0, 2): (1, 0, 0)})
     defects = broken.jacobi_defect()
     assert defects
-    assert all(type(x) is F for *_, residual in defects for x in residual)
+    assert all(type(x) is F for *_, residual in defects for _, x in residual)
 
 
 def test_reprs_show_fraction_entries():
