@@ -112,9 +112,8 @@ def _print_report_keys(args, cap: int, keys: tuple[str, ...]) -> report.Analysis
     a = report.analyze(algebra, ranges, cap)
     if a.tower is None:
         raise CliError(a.problem, 1)
-    for line in report.report_lines(label, algebra, a):
-        if line.partition(":")[0].partition("[")[0] in ("source",) + keys:
-            print(line)
+    for line in report.report_lines(label, algebra, a, ("source",) + keys):
+        print(line)
     return a
 
 

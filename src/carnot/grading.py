@@ -116,9 +116,7 @@ def verify_stratification(L: LieAlgebra, layers: Sequence[Subspace]) -> Stratifi
         if v.ambient_dim != n:
             raise StratificationError("layer ambient dimension mismatch")
     total = sum(v.dim for v in layers)
-    joined = layers[0]
-    for v in layers[1:]:
-        joined = joined + v
+    joined = Subspace.from_rows((dict(row) for v in layers for row in v.rows), n)
     if total != n or joined.dim != n:
         raise NotDirectSumError(
             f"layers do not form a direct sum decomposition: dims sum to {total}, span has dim {joined.dim}, ambient is {n}")

@@ -18,6 +18,9 @@ One walk, :meth:`LieAlgebra._brackets`, brackets sparse vectors for
 The Leibniz identity is assembled once, in :func:`_leibniz_system`, for
 the n^2 entries of an endomorphism (:meth:`LieAlgebra.leibniz_rows`) or
 the blocks of one degree of the tower (``tanaka._solve_component``).
+Both callers hand it data, not code: the unknown columns of each u(e_c)
+and the action index of u(e_c)'s target space, the algebra's own index
+read off ``_ad`` or a degree's ``tanaka._target_index``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Matrix,
@@ -56,32 +59,35 @@ class SingularMatrixError(ValueError):
 JacobiDefect = tuple[int, int, int, SparseRow]
 
 
-def _leibniz_system(ad, n: int, cols: Callable[[int], Sequence[int]],
-                    terms: Callable[[int, int], Iterable[tuple[int, int, Fraction]]]):
+def _leibniz_system(ad, n: int, cols: Sequence[Sequence[int]],
+                    actions: Sequence[Mapping[int, Sequence[tuple[int, int, Fraction]]]]):
     """Nonzero sparse rows of u([e_a, e_b]) - [u(e_a), e_b] - [e_a, u(e_b)]
     = 0, one per pair a < b and target coordinate q, for the table ``ad``
     (a ``LieAlgebra._ad``) of dimension n.
 
-    The caller gives the layout of the unknowns of u: ``cols(c)`` lists
-    the columns of u(e_c), one per target coordinate, and ``terms(a, b)``
-    lists ``(q, col, x)``, x != 0, each (q, col) once: unknown ``col`` times
-    ``x`` is a term of coordinate q of [e_b, u(e_a)].  The row is, in this
-    insertion order, u([e_a, e_b]) and then ``terms(a, b)`` minus
-    ``terms(b, a)`` (which never share a column) in ascending columns.  When
-    [e_a, e_b] = 0 those terms are the row, taken with no merge and no zero
-    filter; otherwise a term may cancel a column of u([e_a, e_b])."""
+    The caller gives the layout of the unknowns of u as data: ``cols[c]``
+    lists the columns of u(e_c), one per generator w_r of its target
+    space, and ``actions[c]`` is that space's action index, mapping b to
+    ``(r, q, x)`` over the w_r with [e_b, w_r] != 0 and the coordinates
+    q of [e_b, w_r], x != 0.  Each entry (r, q, x) at b of ``actions[a]``
+    makes unknown ``cols[a][r]`` times x a term of coordinate q of
+    [e_b, u(e_a)].  The row is, in this insertion order, u([e_a, e_b])
+    and then the terms of [e_b, u(e_a)] minus those of [e_a, u(e_b)]
+    (which never share a column) in ascending columns.  When
+    [e_a, e_b] = 0 those terms are the row, taken with no merge and no
+    zero filter; otherwise a term may cancel a column of u([e_a, e_b])."""
     for a in range(n):
-        ad_a = ad[a]
+        ad_a, cols_a, act_a = ad[a], cols[a], actions[a]
         for b in range(a + 1, n):
             parts: dict[int, dict[int, Fraction]] = {}
-            for q, col, x in terms(a, b):
-                parts.setdefault(q, {})[col] = x
-            for q, col, x in terms(b, a):
-                parts.setdefault(q, {})[col] = -x
+            for r, q, x in act_a.get(b, ()):
+                parts.setdefault(q, {})[cols_a[r]] = x
+            for r, q, x in actions[b].get(a, ()):
+                parts.setdefault(q, {})[cols[b][r]] = -x
             if b not in ad_a:
                 yield from (dict(sorted(parts[q].items())) for q in sorted(parts))
                 continue
-            cab = [(cols(l), c) for l, c in sorted(ad_a[b].items())]
+            cab = [(cols[l], c) for l, c in sorted(ad_a[b].items())]
             # every coordinate of [e_a, e_b] is in one degree, so all of
             # its unknown columns have the same number of targets
             for q in range(len(cab[0][0])):
@@ -273,13 +279,10 @@ class LieAlgebra(Record):
         sum_l c_{ij}^l u[k][l] - sum_l u[l][i] c_{lj}^k - sum_l u[l][j] c_{il}^k = 0.
         """
         n = self.dim
-        ad = self._ad
-
-        def terms(a: int, b: int) -> list:
-            # [e_b, u(e_a)] = sum_l u[l][a] [e_b, e_l]
-            return [(k, l * n + a, c) for l, coords in ad[b].items() for k, c in coords.items()]
-
-        return _leibniz_system(ad, n, lambda c: range(c, n * n, n), terms)
+        # u(e_c) = sum_l u[l][c] e_l, so its target space is g itself
+        own = {b: [(l, k, c) for l, coords in ad_b.items() for k, c in coords.items()]
+               for b, ad_b in enumerate(self._ad) if ad_b}
+        return _leibniz_system(self._ad, n, [range(c, n * n, n) for c in range(n)], [own] * n)
 
     def derivation_algebra(self) -> Subspace:
         """Solution space of the Leibniz system, as a subspace of the

@@ -560,15 +560,11 @@ def conjugate(basis: Sequence[SparseRow], images: Sequence[Mapping[int, Fraction
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
-    """Exact inverse, or None when singular: [m | I] reduces to [I | m^-1]."""
+    """Exact inverse, or None when singular: [m | I] reduces to [I | m^-1]
+    by :func:`_solve_basis`, with the rows of m as the p_a."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    red = RowReducer(2 * n)
-    for i, row in enumerate(m.entries):
-        red.add({**{c: x for c, x in enumerate(row) if x}, n + i: _ONE})
-    echelon = red.echelon()
-    if list(echelon) != list(range(n)):
-        return None
-    return Matrix(n, n, tuple(_dense_vec(((c - n, x) for c, x in row if c >= n), n)
-                              for row in echelon.values()))
+    rows = _solve_basis([[(c, x) for c, x in enumerate(row) if x] for row in m.entries],
+                        [{i: _ONE} for i in range(n)])
+    return None if rows is None else Matrix(n, n, tuple(_dense_vec(r.items(), n) for r in rows))

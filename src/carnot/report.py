@@ -6,12 +6,12 @@ render as ``p`` or ``p/q`` and every value is derived from canonical
 
 :func:`analyze` is the one place a stratification is chosen and the
 tower computed; :func:`report_lines` renders each key once, and the
-``g0``, ``prolong`` and ``rigid`` commands print their keys of it.
+``g0``, ``prolong`` and ``rigid`` commands ask it for their keys only.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from . import grading, tanaka
 from .liealg import JacobiDefect, LieAlgebra, NotLieAlgebraError, SeriesReport
@@ -126,8 +126,12 @@ def analyze(algebra: LieAlgebra, layer_ranges: Optional[Sequence[tuple[int, int]
     return Analysis(defects, series, stratifiable, layers, strat, tower, cap, problem)
 
 
-def report_lines(label: str, algebra: LieAlgebra, a: Analysis) -> list[str]:
-    """The report of :func:`analyze`'s result, one ``key: value`` line each."""
+def report_lines(label: str, algebra: LieAlgebra, a: Analysis,
+                 keys: Optional[Container[str]] = None) -> list[str]:
+    """The report of :func:`analyze`'s result, one ``key: value`` line
+    each, only for the keys in ``keys`` when given (``g0_basis`` names
+    every ``g0_basis[i]``).  The ``g0`` span is built only when its lines
+    are asked for."""
     series = a.series
     stratifiable = a.stratifiable
     if stratifiable is None:
@@ -135,29 +139,32 @@ def report_lines(label: str, algebra: LieAlgebra, a: Analysis) -> list[str]:
             stratifiable = fmt_bool(grading.is_stratifiable(algebra).stratifiable)
         except grading.NotNilpotentError:
             stratifiable = "none"
-    lines = [f"source: {label}",
-             f"dim: {algebra.dim}",
-             f"brackets: {algebra.bracket_count()}",
-             f"jacobi: {len(a.defects)} violations" if a.defects else "jacobi: ok",
-             f"nilpotent: {fmt_bool(series.nilpotent if series else None)}",
-             f"step: {series.step if series and series.nilpotent else 'none'}",
-             f"series_dims: {fmt_ints(series.dims) if series else 'none'}",
-             f"stratifiable: {stratifiable}",
-             f"layers: {a.layers}"]
     strat, tower = a.stratification, a.tower
     verdict = tanaka.rigidity_verdict(tower) if tower else None
-    g0 = tanaka.endomorphism_span(tower.frame, tower.bases[0]).basis_rows() if tower else ()
+    g0 = ()
+    if tower and (keys is None or "g0_basis" in keys):
+        g0 = tanaka.endomorphism_span(tower.frame, tower.bases[0]).basis_rows()
     finite = ("true" if tower.finite else "unknown") if tower else "none"
-    return lines + [
-        f"layer_dims: {fmt_ints(strat.layer_dims if strat else None)}",
-        f"Q: {grading.homogeneous_dimension(strat) if strat else 'none'}",
-        f"g0_dim: {verdict.g0_dim if verdict else 'none'}",
-        *(f"g0_basis[{i}]: {fmt_flat(row)}" for i, row in enumerate(g0)),
-        f"prolongation_cap: {a.cap if tower else 'none'}",
-        f"prolongation_dims: {fmt_ints(tower.dims if tower else None)}",
-        f"prolongation_finite: {finite}",
-        f"ultrarigid: {fmt_bool(verdict.infinitesimally_ultrarigid if verdict else None)}",
-        f"g1_trivial: {fmt_bool(verdict.g1_trivial if verdict else None)}"]
+    pairs = [("source", label),
+             ("dim", algebra.dim),
+             ("brackets", algebra.bracket_count()),
+             ("jacobi", f"{len(a.defects)} violations" if a.defects else "ok"),
+             ("nilpotent", fmt_bool(series.nilpotent if series else None)),
+             ("step", series.step if series and series.nilpotent else "none"),
+             ("series_dims", fmt_ints(series.dims) if series else "none"),
+             ("stratifiable", stratifiable),
+             ("layers", a.layers),
+             ("layer_dims", fmt_ints(strat.layer_dims if strat else None)),
+             ("Q", grading.homogeneous_dimension(strat) if strat else "none"),
+             ("g0_dim", verdict.g0_dim if verdict else "none"),
+             *((f"g0_basis[{i}]", fmt_flat(row)) for i, row in enumerate(g0)),
+             ("prolongation_cap", a.cap if tower else "none"),
+             ("prolongation_dims", fmt_ints(tower.dims if tower else None)),
+             ("prolongation_finite", finite),
+             ("ultrarigid", fmt_bool(verdict.infinitesimally_ultrarigid if verdict else None)),
+             ("g1_trivial", fmt_bool(verdict.g1_trivial if verdict else None))]
+    return [f"{key}: {value}" for key, value in pairs
+            if keys is None or key.partition("[")[0] in keys]
 
 
 def build_report(label: str, algebra: LieAlgebra,

@@ -13,9 +13,12 @@ over all pairs of homogeneous basis vectors X, Y, where [w, Y] = w(Y)
 for nonnegative w, recursively through the representation.  Degree 0
 gives exactly the layer-preserving (strata-preserving) derivations.  The
 rows come from ``liealg._leibniz_system``, the one Leibniz assembler,
-fed from a per-degree target index (:func:`_target_index`) that lists,
-for each basis vector e_b, only the generators w of lower degree with
-[e_b, w] != 0, so assembly walks nonzero actions only.
+which is handed data: the unknown columns of each u(e_a) and, as its
+action index, the target index (:func:`_target_index`) of degree
+k - weight(a), which lists for each basis vector e_b only the generators
+w with [e_b, w] != 0, so assembly walks nonzero actions only.  Every
+dimension of the tower is read off its stored bases, and
+:meth:`ProlongationResult.basis` alone states what lies past the cap.
 :func:`rigidity_verdict` turns a tower into a verdict.
 
 Storage is sparse from the kernel on: each g_k basis vector is a
@@ -235,47 +238,29 @@ def _target_index(frame: AdaptedFrame, t: int,
 
 
 def _solve_component(frame: AdaptedFrame, k: int,
-                     bases: Sequence[Sequence[HomElement]],
-                     dims: Sequence[int], index: dict) -> list[HomElement]:
+                     bases: Sequence[Sequence[HomElement]], index: dict) -> list[HomElement]:
     """Nullspace of the degree-k Leibniz system, as HomElements in
     canonical form: the sparse rows of ``solution_space``.
 
-    ``bases``/``dims`` describe the previously computed components
-    g_0..g_{k-1} (both empty for k = 0).  The term [e_b, u(e_a)] of a row
-    is read from the :func:`_target_index` of degree k - weight(a) at b:
-    only the generators w_r with [e_b, w_r] != 0, each at the unknown
-    ``start + r * step`` of the column range of u(e_a).  ``index`` (the
-    caller's dict, empty at first) keeps them across calls, with degree
+    ``bases`` holds the stored bases of the previously computed components
+    g_0..g_{k-1} (empty for k = 0).  u(e_a) is the column of block
+    l = weight(a) at a's position in layer l, one unknown per generator of
+    degree k - l, whose :func:`_target_index` is handed to the assembler
+    as u(e_a)'s action index.  ``index`` (the caller's dict, empty at
+    first) keeps the target indexes across calls, with degree
     k - step - 1, read by no later k, dropped."""
-    weights = frame.weights
-
-    def target_dim(t: int) -> int:
-        return frame.layer_dim(-t) if t < 0 else dims[t]
-
-    shapes = _block_shapes(frame, k, target_dim)
+    shapes = _block_shapes(frame, k, lambda t: frame.layer_dim(-t) if t < 0 else len(bases[t]))
     offsets = list(accumulate((r * c for r, c in shapes), initial=0))
-    total = offsets[-1]
-    if total == 0:
+    if offsets[-1] == 0:
         return []
-
-    def cols(a: int) -> range:
-        # u(e_a) is the column of block l = weight(a) at a's position in layer l
-        l = weights[a]
-        return range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
-
     index.pop(k - frame.step - 1, None)
     index.update({t: _target_index(frame, t, bases) for t in range(k - frame.step, k) if t not in index})
-
-    def terms(a: int, b: int) -> list:
-        # [e_b, u(e_a)] = sum_r u_r(e_a) [e_b, w_r], over the r with
-        # [e_b, w_r] != 0 only; u_r(e_a) is unknown start + r * step
-        if not (entries := index[k - weights[a]].get(b)):
-            return []
-        start, step = (col_a := cols(a)).start, col_a.step
-        return [(q, start + r * step, x) for r, q, x in entries]
-
+    cols = [range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
+            for a, l in enumerate(frame.weights)]
+    actions = [index[k - l] for l in frame.weights]
     return [HomElement(k, shapes, row) for row in
-            solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, terms), total).rows]
+            solution_space(_leibniz_system(frame.graded._ad, frame.dim, cols, actions),
+                           offsets[-1]).rows]
 
 
 def _endo_images(frame: AdaptedFrame, elements: Sequence[HomElement]) -> tuple[list, list]:
@@ -337,13 +322,7 @@ class ProlongationResult(Record):
     frame: AdaptedFrame
 
     def component_dim(self, t: int) -> int:
-        if t < 0:
-            return self.frame.layer_dim(-t)
-        if t < len(self.dims):
-            return self.dims[t]
-        if self.finite:
-            return 0
-        raise ComponentNotComputedError(f"degree {t} not computed (cap {len(self.dims) - 1})")
+        return self.frame.layer_dim(-t) if t < 0 else len(self.basis(t))
 
     def basis(self, t: int) -> tuple[HomElement, ...]:
         if 0 <= t < len(self.bases):
@@ -351,9 +330,6 @@ class ProlongationResult(Record):
         if self.finite:
             return ()
         raise ComponentNotComputedError(f"degree {t} not computed (cap {len(self.bases) - 1})")
-
-    def _shapes(self, t: int) -> tuple[tuple[int, int], ...]:
-        return self._degree(t)[0]
 
     @cached_property
     def _degrees(self) -> dict[int, tuple]:
@@ -446,7 +422,7 @@ class ProlongationResult(Record):
         u, v = self.basis(k)[i], self.basis(m)[j]
         values: dict[int, Fraction] = {}
         pos = 0
-        for a0, (rows, d) in zip(self.frame.offsets, self._shapes(k + m)):
+        for a0, (rows, d) in zip(self.frame.offsets, self._degree(k + m)[0]):
             for c in range(d):
                 col = _add_scaled(self._outer(k, i, v, a0 + c), -1,
                                   self._outer(m, j, u, a0 + c).items())
@@ -513,16 +489,14 @@ def prolong(L: LieAlgebra, s: Stratification, k_max: int = 6) -> ProlongationRes
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     frame = AdaptedFrame.build(L, s)
-    dims: list[int] = []
     bases: list[tuple[HomElement, ...]] = []
     index: dict = {}
     for k in range(k_max + 1):
-        comps = _solve_component(frame, k, bases, dims, index)
-        dims.append(len(comps))
-        bases.append(tuple(comps))
-        if not comps:
-            return ProlongationResult(tuple(dims), True, tuple(bases), frame)
-    return ProlongationResult(tuple(dims), None, tuple(bases), frame)
+        bases.append(tuple(_solve_component(frame, k, bases, index)))
+        if not bases[-1]:
+            break
+    return ProlongationResult(tuple(map(len, bases)), True if not bases[-1] else None,
+                              tuple(bases), frame)
 
 
 def degree_zero_derivations(L: LieAlgebra, s: Stratification) -> Subspace:

@@ -236,22 +236,21 @@ def grading_element(frame: AdaptedFrame) -> HomElement:
     return HomElement.from_nonzeros(0, shapes, values)
 
 
-def reference_tower_rows(frame: AdaptedFrame, k: int, bases, dims) -> list[dict]:
+def reference_tower_rows(frame: AdaptedFrame, k: int, bases) -> list[dict]:
     """The degree-k Leibniz rows of ``tanaka._solve_component``, assembled
-    as before its target index: ``terms(a, b)`` walks every generator w_r
-    of the degree-t space, t = k - weight(a), and asks each for the
-    coordinates of [e_b, w_r], zero or not."""
+    from action indexes built as before its target index: the index of
+    degree t = k - weight(a) walks every generator w_r of the degree-t
+    space at every basis vector e_b and asks each for the coordinates of
+    [e_b, w_r], zero or not."""
     weights = frame.weights
 
     def target_dim(t: int) -> int:
-        return frame.layer_dim(-t) if t < 0 else dims[t]
+        return frame.layer_dim(-t) if t < 0 else len(bases[t])
 
     shapes = _block_shapes(frame, k, target_dim)
     offsets = list(accumulate((r * c for r, c in shapes), initial=0))
-
-    def cols(a: int) -> range:
-        l = weights[a]
-        return range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
+    cols = [range(offsets[l - 1] + a - frame.offsets[l - 1], offsets[l], shapes[l - 1][1])
+            for a, l in enumerate(weights)]
 
     def action(t: int, r: int, b: int) -> list:
         if t < 0:
@@ -260,13 +259,10 @@ def reference_tower_rows(frame: AdaptedFrame, k: int, bases, dims) -> list[dict]
                     for q, x in frame.graded._ad[b].get(g, {}).items()]
         return [(q, -x) for q, x in bases[t][r]._image(b).items()]
 
-    def terms(a: int, b: int):
-        t = k - weights[a]
-        for r, c in enumerate(cols(a)):
-            for q, x in action(t, r, b):
-                yield q, c, x
-
-    return list(_leibniz_system(frame.graded._ad, frame.dim, cols, terms))
+    indexes = {t: {b: [(r, q, x) for r in range(target_dim(t)) for q, x in action(t, r, b)]
+                   for b in range(frame.dim)}
+               for t in {k - l for l in weights}}
+    return list(_leibniz_system(frame.graded._ad, frame.dim, cols, [indexes[k - l] for l in weights]))
 
 
 def semidirect_with_derivation(L: LieAlgebra, d: Matrix) -> LieAlgebra:

@@ -266,6 +266,31 @@ def test_invert():
     assert mi is not None
     assert matmul(m, mi) == Matrix.identity(2)
     assert invert(M([[1, 2], [2, 4]])) is None
+    # against the rref of [m | I]: [I | m^-1] when m is invertible, and a
+    # left block other than I when it is singular
+    rng = random.Random(263)
+    cases = [M([], 0), M([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), M([[0, 0], [0, 0]])]
+    for n in range(1, 9):
+        for _ in range(3):
+            cases.append(M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+            cases.append(M([[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                            for _ in range(n)]))
+        if n > 1:
+            cases.append(random_unimodular(n, rng, shears=2 * n))
+    inverted = singular = 0
+    for m in cases:
+        n = m.rows
+        reduced, _ = rref(M([list(row) + list(unit_vec(n, i)) for i, row in enumerate(m.entries)],
+                            2 * n))
+        if all(row[:n] == unit_vec(n, i) for i, row in enumerate(reduced.entries)):
+            assert invert(m) == Matrix(n, n, tuple(row[n:] for row in reduced.entries))
+            inverted += 1
+        else:
+            assert invert(m) is None
+            singular += 1
+    assert inverted > 20 and singular >= 2
+    with pytest.raises(ValueError, match="square"):
+        invert(M([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_conjugate_matches_dense_product():

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from carnot import catalog, report, tanaka
 from carnot.cli import main
 from carnot.grading import coordinate_layers, verify_stratification
@@ -143,3 +145,20 @@ def test_report_max_zero_keeps_g0_lines(capsys):
     assert "prolongation_cap: 0" in out
     assert "prolongation_dims: 4" in out
     assert "g1_trivial: none" in out
+
+
+def test_prolong_and_rigid_build_no_g0_span(capsys, monkeypatch):
+    # neither command prints a g0_basis line, so report_lines is asked for
+    # their keys only and never builds the g_0 span
+    def no_span(frame, elements):
+        raise AssertionError("the g_0 span was built")
+
+    monkeypatch.setattr(tanaka, "endomorphism_span", no_span)
+    for name in ("heisenberg_3", "example1_16", "heisenberg_2n1(2)"):
+        assert main(["prolong", name, "--max", "1"]) == 0
+        assert main(["rigid", name]) in (0, 1)
+    out = capsys.readouterr().out.splitlines()
+    assert "prolongation_dims: 4 6" in out and "ultrarigid: true" in out
+    assert not any(line.startswith("g0_basis[") for line in out)
+    with pytest.raises(AssertionError, match="g_0 span"):
+        main(["g0", "heisenberg_3"])

@@ -258,7 +258,7 @@ def test_sparse_bases_equal_dense_solution_space(name, cap, monkeypatch):
     for k, ((width, rows), basis) in enumerate(zip(systems, result.bases)):
         flats = tuple(el.flatten() for el in basis)
         assert flats == solution_space(rows, width).basis_rows()
-        assert all(el.degree == k and el.shapes == result._shapes(k) for el in basis)
+        assert all(el.degree == k and el.shapes == result._degree(k)[0] for el in basis)
         plain = RowReducer(width)
         by_col = {}
         for i, row in enumerate(rows):
@@ -324,8 +324,8 @@ def test_tower_rows_match_every_generator_assembly(name, cap, monkeypatch):
         L, s = entry.algebra, strat_of(entry)
     result, systems = _recorded_tower_rows(L, s, cap, monkeypatch)
     for k, (width, rows) in enumerate(systems):
-        assert rows == reference_tower_rows(result.frame, k, result.bases[:k], result.dims[:k])
-        assert width == sum(r * c for r, c in result._shapes(k))
+        assert rows == reference_tower_rows(result.frame, k, result.bases[:k])
+        assert width == sum(r * c for r, c in result._degree(k)[0])
     assert any(rows for _, rows in systems)
 
 
@@ -341,8 +341,8 @@ def test_prolong_builds_each_target_index_once(monkeypatch):
         built.append(t)
         return real(frame, t, bases)
 
-    def solve(frame, k, bases, dims, index):
-        out = real_solve(frame, k, bases, dims, index)
+    def solve(frame, k, bases, index):
+        out = real_solve(frame, k, bases, index)
         kept.append(sorted(index))
         return out
 
@@ -422,10 +422,10 @@ def test_vanishing_is_monotone_when_computed_past_a_zero(ex1):
     # must also give zero (here: g1 = 0 forces g2 = 0)
     L, s = ex1
     frame = AdaptedFrame.build(L, s)
-    g0 = _solve_component(frame, 0, [], [], {})
-    g1 = _solve_component(frame, 1, [tuple(g0)], [len(g0)], {})
+    g0 = _solve_component(frame, 0, [], {})
+    g1 = _solve_component(frame, 1, [tuple(g0)], {})
     assert g1 == []
-    g2 = _solve_component(frame, 2, [tuple(g0), ()], [len(g0), 0], {})
+    g2 = _solve_component(frame, 2, [tuple(g0), ()], {})
     assert g2 == []
 
 
@@ -478,11 +478,26 @@ def test_restriction_to_first_layer_is_injective(h3_prolonged):
         assert rank == len(basis)
 
 
-def test_component_dim_beyond_terminal_zero(ex1):
+def test_component_dim_beyond_terminal_zero(ex1, h3):
     L, s = ex1
     result = prolong(L, s, 2)
     assert result.component_dim(5) == 0
     assert result.basis(5) == ()
+    # component_dim is the size of basis, which alone states the cap rule:
+    # past the cap a finite tower is zero, an infinite one is not computed
+    cap = 2
+    for (M, strat), finite in ((ex1, True), (h3, None)):
+        tower = prolong(M, strat, cap)
+        assert tower.finite is finite
+        for t in range(cap + 3):
+            if t <= cap or finite:
+                assert tower.component_dim(t) == len(tower.basis(t))
+                continue
+            with pytest.raises(ComponentNotComputedError) as dim_error:
+                tower.component_dim(t)
+            with pytest.raises(ComponentNotComputedError) as basis_error:
+                tower.basis(t)
+            assert str(dim_error.value) == str(basis_error.value) == f"degree {t} not computed (cap {cap})"
 
 
 def test_component_not_computed_error():
